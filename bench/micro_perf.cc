@@ -172,29 +172,89 @@ BENCHMARK(BM_RankBagsThreads)
     ->Args({512, 4})
     ->Args({512, 8});
 
+/// Two vehicles crossing the tunnel in opposite directions at frame `f`.
+std::vector<VehicleState> TwoVehicles(int f) {
+  VehicleState a, b;
+  a.id = 0;
+  a.mode = MotionMode::kLaneFollow;
+  a.position = {40.0 + f * 0.8, 108};
+  a.shade = 220;
+  b.id = 1;
+  b.mode = MotionMode::kLaneFollow;
+  b.position = {280.0 - f * 0.6, 130};
+  b.shade = 60;
+  return {a, b};
+}
+
+/// Frames per VisionTracks batch (eval/experiment.cc).
+constexpr int kVisionBatchFrames = 64;
+
+void BM_RenderBatch(benchmark::State& state) {
+  // One VisionTracks batch: sequential Prepare, then parallel Run.
+  SetGlobalThreadCount(static_cast<int>(state.range(0)));
+  Renderer renderer(MakeTunnelLayout());
+  std::vector<RenderJob> jobs(kVisionBatchFrames);
+  std::vector<Frame> frames(kVisionBatchFrames, renderer.background());
+  int f = 0;
+  for (auto _ : state) {
+    for (RenderJob& job : jobs) job = renderer.Prepare(TwoVehicles(f++ % 300));
+    ParallelFor(jobs.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) renderer.Run(jobs[i], &frames[i]);
+    });
+    benchmark::DoNotOptimize(frames.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kVisionBatchFrames);
+  SetGlobalThreadCount(0);
+}
+BENCHMARK(BM_RenderBatch)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BackgroundIngestBatch(benchmark::State& state) {
+  // One VisionTracks batch through the stripe-parallel background update
+  // of a warmed-up model (selective mean, the default).
+  SetGlobalThreadCount(static_cast<int>(state.range(0)));
+  Renderer renderer(MakeTunnelLayout());
+  std::vector<PendingSegmentation> batch(kVisionBatchFrames);
+  for (int f = 0; f < kVisionBatchFrames; ++f) {
+    batch[f].frame = renderer.Render(TwoVehicles(f));
+  }
+  VehicleSegmenter segmenter;
+  segmenter.IngestBatch(batch);  // warmup
+  for (auto _ : state) {
+    segmenter.IngestBatch(batch);
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kVisionBatchFrames);
+  SetGlobalThreadCount(0);
+}
+BENCHMARK(BM_BackgroundIngestBatch)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SegmentClipThreads(benchmark::State& state) {
   const int frames = static_cast<int>(state.range(0));
   SetGlobalThreadCount(static_cast<int>(state.range(1)));
   // Pre-render a clip with a couple of moving vehicles so SPCPE has work.
-  const RoadLayout layout = MakeTunnelLayout();
-  Renderer renderer(layout);
+  Renderer renderer(MakeTunnelLayout());
   std::vector<Frame> clip;
   clip.reserve(static_cast<size_t>(frames));
   for (int f = 0; f < frames; ++f) {
-    VehicleState a, b;
-    a.id = 0;
-    a.mode = MotionMode::kLaneFollow;
-    a.position = {40.0 + f * 0.8, 108};
-    a.shade = 220;
-    b.id = 1;
-    b.mode = MotionMode::kLaneFollow;
-    b.position = {280.0 - f * 0.6, 130};
-    b.shade = 60;
-    clip.push_back(renderer.Render({a, b}));
+    clip.push_back(renderer.Render(TwoVehicles(f)));
   }
   for (auto _ : state) {
-    // The VisionTracks pattern: sequential background ingest, parallel
-    // per-frame SPCPE/cleanup/blob refinement.
+    // Background ingest, then parallel per-frame SPCPE/cleanup/blob
+    // refinement.
     VehicleSegmenter segmenter;
     std::vector<PendingSegmentation> pending;
     pending.reserve(clip.size());

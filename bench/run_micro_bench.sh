@@ -8,7 +8,8 @@
 # The script builds micro_perf with CMAKE_BUILD_TYPE=Release when it is
 # missing, and refuses to record numbers unless the binary stamps itself
 # "optimized" (the mivid_build custom context, set from __OPTIMIZE__ +
-# NDEBUG at compile time). Note google-benchmark's own library_build_type
+# NDEBUG at compile time). The context also records `nproc` and
+# `loadavg_start` (see below). Note google-benchmark's own library_build_type
 # context reports how libbenchmark was built, which a distro debug
 # package makes "debug" even for fully optimized mivid code — that field
 # is NOT the gate.
@@ -30,7 +31,14 @@ if [[ ! -x "${BIN}" ]]; then
   cmake --build "${BUILD_DIR}" -j --target micro_perf
 fi
 
+# Usable CPUs and the 1/5/15-minute load average when the run starts go
+# into the JSON context: a *Threads row above nproc, or one taken on a
+# loaded machine, measures contention rather than scaling.
+NPROC="$(nproc)"
+LOADAVG="$(cut -d' ' -f1-3 /proc/loadavg | tr ' ' '/')"
+
 "${BIN}" \
+  --benchmark_context="nproc=${NPROC},loadavg_start=${LOADAVG}" \
   --benchmark_filter="${FILTER}" \
   --benchmark_format=json \
   --benchmark_out="${OUT_FILE}" \

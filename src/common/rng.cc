@@ -54,6 +54,13 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(r % range);
 }
 
+namespace {
+
+/// Box-Muller's rejection bound on u1 (keeps log(u1) finite).
+constexpr double kMinU1 = 1e-300;
+
+}  // namespace
+
 double Rng::Gaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;
@@ -62,12 +69,26 @@ double Rng::Gaussian() {
   double u1, u2;
   do {
     u1 = Uniform();
-  } while (u1 <= 1e-300);
+  } while (u1 <= kMinU1);
   u2 = Uniform();
   const double mag = std::sqrt(-2.0 * std::log(u1));
   cached_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
   has_cached_gaussian_ = true;
   return mag * std::cos(2.0 * M_PI * u2);
+}
+
+void Rng::SkipGaussians(size_t n) {
+  if (n > 0 && has_cached_gaussian_) {
+    has_cached_gaussian_ = false;
+    --n;
+  }
+  // Each pair of draws consumes the same (u1, u2) a fresh Gaussian() does.
+  for (; n >= 2; n -= 2) {
+    while (Uniform() <= kMinU1) {
+    }
+    Next();
+  }
+  if (n == 1) (void)Gaussian();
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }

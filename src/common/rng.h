@@ -37,6 +37,13 @@ class Rng {
   /// Standard normal via Box-Muller (cached second value).
   double Gaussian();
 
+  /// Advances the generator exactly as `n` Gaussian() calls would
+  /// (cached second value and u1 rejection included), without evaluating
+  /// log/sin/cos except for a trailing unpaired draw, whose second value
+  /// must be cached. Lets a caller hand a stream position to another
+  /// thread while it moves on.
+  void SkipGaussians(size_t n);
+
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) {
     return mean + stddev * Gaussian();

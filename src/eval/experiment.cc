@@ -25,40 +25,75 @@ constexpr size_t kSegmentBatchFrames = 64;
 
 /// Runs the full vision path: render every frame, segment, track.
 ///
-/// Only the background update (VehicleSegmenter::Ingest) and the tracker
-/// are order-dependent; the expensive SPCPE/cleanup/blob step is a pure
-/// function of one ingested frame, so each batch fans it out across the
-/// thread pool and then feeds the tracker in frame order.
+/// Per batch, only the cheap passes are sequential:
+///  1. step the world and Renderer::Prepare each frame in order;
+///  2. render the frames in parallel (while one task runs pass 1 for the
+///     next batch);
+///  3. advance the background model through the batch in parallel pixel
+///     stripes (VehicleSegmenter::IngestBatch);
+///  4. refine (SPCPE/cleanup/blobs) frames in parallel, then track them
+///     in order.
+/// Every frame sees exactly the inputs the serial Render/Ingest loop
+/// gives it, so the tracks are bit-identical to it at any thread count.
 std::vector<Track> VisionTracks(const ScenarioSpec& scenario) {
   TrafficWorld world(scenario);
   Renderer renderer(world.spec().layout);
   VehicleSegmenter segmenter;
   Tracker tracker;
-  std::vector<PendingSegmentation> pending;
-  std::vector<int> frame_ids;
-  pending.reserve(kSegmentBatchFrames);
-  frame_ids.reserve(kSegmentBatchFrames);
-  auto flush = [&]() {
+  struct Prepared {
+    std::vector<RenderJob> jobs;
+    std::vector<int> frame_ids;
+  };
+  // Pass 1: Run reads neither the world nor the renderer state Prepare
+  // advances, so it may overlap the previous batch's rendering.
+  auto prepare = [&](Prepared* next) {
+    next->jobs.clear();
+    next->frame_ids.clear();
+    while (next->jobs.size() < kSegmentBatchFrames && !world.Done()) {
+      world.Step();
+      next->jobs.push_back(renderer.Prepare(world.vehicles()));
+      next->frame_ids.push_back(world.frame() - 1);
+    }
+  };
+  std::vector<PendingSegmentation> batch(kSegmentBatchFrames);
+  std::vector<std::vector<Blob>> blobs(kSegmentBatchFrames);
+  // Each iteration processes the current batch (empty on the first) while
+  // preparing the next one.
+  Prepared current, next;
+  do {
     MIVID_TRACE_SPAN("eval/vision_batch");
-    std::vector<std::vector<Blob>> blobs(pending.size());
-    ParallelFor(pending.size(), 1, [&](size_t begin, size_t end) {
+    const size_t n = current.jobs.size();
+    for (size_t i = 0; i < n; ++i) {
+      // Sized on this thread, so Run on a pool worker only overwrites it
+      // (frames allocated in workers' heaps raise peak RSS).
+      if (batch[i].frame.empty()) batch[i].frame = renderer.background();
+    }
+    {
+      MIVID_TRACE_SPAN("eval/render_batch");
+      ParallelFor(n + 1, 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          if (i == 0) {
+            prepare(&next);
+          } else {
+            renderer.Run(current.jobs[i - 1], &batch[i - 1].frame);
+          }
+        }
+      });
+    }
+    {
+      MIVID_TRACE_SPAN("eval/ingest_batch");
+      segmenter.IngestBatch(std::span(batch).first(n));
+    }
+    ParallelFor(n, 1, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        blobs[i] = VehicleSegmenter::Refine(pending[i], segmenter.options());
+        blobs[i] = VehicleSegmenter::Refine(batch[i], segmenter.options());
       }
     });
-    for (size_t i = 0; i < pending.size(); ++i) {
-      tracker.Observe(frame_ids[i], blobs[i]);
+    for (size_t i = 0; i < n; ++i) {
+      tracker.Observe(current.frame_ids[i], blobs[i]);
     }
-    pending.clear();
-    frame_ids.clear();
-  };
-  while (!world.Done()) {
-    world.Step();
-    pending.push_back(segmenter.Ingest(renderer.Render(world.vehicles())));
-    frame_ids.push_back(world.frame() - 1);
-    if (pending.size() >= kSegmentBatchFrames) flush();
-  }
-  flush();
+    std::swap(current, next);
+  } while (!current.jobs.empty());
   return tracker.Finish();
 }
 
@@ -104,6 +139,7 @@ Result<ClipAnalysis> AnalyzeScenario(const ScenarioSpec& scenario,
   // Ground truth (incidents + perfect tracks) always comes from a
   // deterministic run of the world.
   {
+    MIVID_TRACE_SPAN("eval/ground_truth");
     TrafficWorld world(scenario);
     analysis.ground_truth = world.Run();
   }
@@ -111,6 +147,7 @@ Result<ClipAnalysis> AnalyzeScenario(const ScenarioSpec& scenario,
   analysis.tracks = options.pipeline == PipelineMode::kVisionTracks
                         ? VisionTracks(scenario)
                         : analysis.ground_truth.tracks;
+  MIVID_TRACE_SPAN("eval/corpus");  // the rest: windows, dataset, labels
   if (options.smooth_tracks) {
     analysis.tracks = SmoothTracks(analysis.tracks);
   }

@@ -4,91 +4,164 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace mivid {
+
+namespace {
+
+/// Pixels per stripe of UpdateBatch. Fixed, so the decomposition (and
+/// with it the output) never depends on the thread count; a stripe's
+/// model (32 KiB of doubles) stays cache-resident across the batch.
+constexpr size_t kStripePixels = 4096;
+
+bool IsForeground(uint8_t pixel, double mean, double threshold) {
+  return std::fabs(pixel - mean) >= threshold;
+}
+
+uint8_t Quantize(double mean) {
+  return static_cast<uint8_t>(std::clamp(mean, 0.0, 255.0));
+}
+
+/// The decisions one frame's update shares across every pixel.
+struct FramePlan {
+  int seen = 0;          ///< frames observed before this one
+  bool ready = false;    ///< Ready() after this frame's update
+  int median_slot = -1;  ///< ring slot this frame is sampled into, or -1
+  int median_count = 0;  ///< filled ring slots after this frame
+};
+
+}  // namespace
 
 BackgroundModel::BackgroundModel(BackgroundOptions options)
     : options_(options) {}
 
 void BackgroundModel::Update(const Frame& frame) {
+  const Frame* frames[] = {&frame};
+  UpdateBatch(frames);
+}
+
+void BackgroundModel::UpdateBatch(std::span<const Frame* const> frames,
+                                  std::span<BackgroundObservation* const> out) {
+  if (frames.empty()) return;
+  MIVID_CHECK(out.empty() || out.size() == frames.size())
+      << "one observation per frame";
+  const bool median = options_.method == BackgroundMethod::kTemporalMedian;
+  const int median_capacity = std::max(3, options_.median_samples);
   if (frames_seen_ == 0) {
-    width_ = frame.width();
-    height_ = frame.height();
-    mean_.assign(frame.size(), 0.0);
-  }
-  MIVID_CHECK(frame.width() == width_ && frame.height() == height_)
-      << "frame size changed mid-stream";
-
-  switch (options_.method) {
-    case BackgroundMethod::kSelectiveMean:
-      UpdateSelectiveMean(frame);
-      break;
-    case BackgroundMethod::kTemporalMedian:
-      UpdateTemporalMedian(frame);
-      break;
-  }
-  ++frames_seen_;
-}
-
-void BackgroundModel::UpdateSelectiveMean(const Frame& frame) {
-  if (frames_seen_ < options_.warmup_frames) {
-    // Running mean during warmup.
-    const double n = static_cast<double>(frames_seen_);
-    for (size_t i = 0; i < mean_.size(); ++i) {
-      mean_[i] = (mean_[i] * n + frame.pixels()[i]) / (n + 1.0);
+    width_ = frames[0]->width();
+    height_ = frames[0]->height();
+    mean_.assign(frames[0]->size(), 0.0);
+    if (median) {
+      median_samples_.assign(
+          static_cast<size_t>(median_capacity) * mean_.size(), 0);
     }
-  } else {
-    // Selective EMA: adapt only where the pixel still looks like
-    // background, so stationary vehicles are not absorbed quickly.
-    const double a = options_.learning_rate;
-    for (size_t i = 0; i < mean_.size(); ++i) {
-      const double diff = std::fabs(frame.pixels()[i] - mean_[i]);
-      if (diff < options_.diff_threshold) {
-        mean_[i] = (1.0 - a) * mean_[i] + a * frame.pixels()[i];
+  }
+  const size_t pixels = mean_.size();
+
+  std::vector<FramePlan> plan(frames.size());
+  for (size_t k = 0; k < frames.size(); ++k) {
+    MIVID_CHECK(frames[k]->width() == width_ &&
+                frames[k]->height() == height_)
+        << "frame size changed mid-stream";
+    FramePlan& p = plan[k];
+    p.seen = frames_seen_ + static_cast<int>(k);
+    p.ready = p.seen + 1 >= options_.warmup_frames;
+    // The median buffers spaced samples. Early on (before the buffer
+    // spreads out) every frame is admitted so the model is usable right
+    // after warmup. Once full, a sample replaces the oldest; the median
+    // does not depend on slot order.
+    if (median &&
+        (p.seen < options_.warmup_frames ||
+         p.seen % std::max(1, options_.median_sample_stride) == 0)) {
+      p.median_slot = median_next_;
+      median_next_ = (median_next_ + 1) % median_capacity;
+      median_count_ = std::min(median_count_ + 1, median_capacity);
+    }
+    p.median_count = median_count_;
+    if (!out.empty()) {
+      out[k]->ready = p.ready;
+      out[k]->bg_mean = -1.0;
+      out[k]->mask.resize(p.ready ? pixels : 0);
+    }
+  }
+  frames_seen_ += static_cast<int>(frames.size());
+
+  const double a = options_.learning_rate;
+  const double threshold = options_.diff_threshold;
+  // Quantized-background sums per [stripe][frame]; integers, so exact.
+  std::vector<uint64_t> sums(
+      ParallelChunkCount(pixels, kStripePixels) * frames.size(), 0);
+  double* const mean = mean_.data();  // locals: byte stores alias members
+  uint8_t* const samples = median_samples_.data();
+  ParallelFor(pixels, kStripePixels, [&](size_t begin, size_t end) {
+    uint64_t* stripe_sums = &sums[begin / kStripePixels * frames.size()];
+    std::vector<uint8_t> column(median ? median_capacity : 0);
+    for (size_t k = 0; k < frames.size(); ++k) {
+      const FramePlan& p = plan[k];
+      const uint8_t* px = frames[k]->pixels().data();
+      if (median) {
+        if (p.median_slot >= 0) {
+          std::copy(px + begin, px + end,
+                    samples + p.median_slot * pixels + begin);
+          const auto mid = column.begin() + p.median_count / 2;
+          for (size_t i = begin; i < end; ++i) {
+            for (int s = 0; s < p.median_count; ++s) {
+              column[s] = samples[s * pixels + i];
+            }
+            std::nth_element(column.begin(), mid,
+                             column.begin() + p.median_count);
+            mean[i] = *mid;
+          }
+        }
+      } else if (p.seen < options_.warmup_frames) {
+        // Running mean during warmup.
+        const double n = static_cast<double>(p.seen);
+        for (size_t i = begin; i < end; ++i) {
+          mean[i] = (mean[i] * n + px[i]) / (n + 1.0);
+        }
+      } else {
+        // Selective EMA: adapt only where the pixel still looks like
+        // background, so stationary vehicles are not absorbed quickly.
+        for (size_t i = begin; i < end; ++i) {
+          if (std::fabs(px[i] - mean[i]) < threshold) {
+            mean[i] = (1.0 - a) * mean[i] + a * px[i];
+          }
+        }
       }
-    }
-  }
-}
-
-void BackgroundModel::UpdateTemporalMedian(const Frame& frame) {
-  // Buffer spaced samples; the background is the per-pixel median. Early
-  // on (before the buffer spreads out) every frame is admitted so the
-  // model is usable right after warmup.
-  const bool due = frames_seen_ < options_.warmup_frames ||
-                   frames_seen_ % std::max(1, options_.median_sample_stride) == 0;
-  if (due) {
-    median_buffer_.push_back(frame.pixels());
-    if (static_cast<int>(median_buffer_.size()) >
-        std::max(3, options_.median_samples)) {
-      median_buffer_.erase(median_buffer_.begin());
-    }
-    // Recompute the per-pixel median estimate.
-    std::vector<uint8_t> column(median_buffer_.size());
-    for (size_t i = 0; i < mean_.size(); ++i) {
-      for (size_t s = 0; s < median_buffer_.size(); ++s) {
-        column[s] = median_buffer_[s][i];
+      if (out.empty() || !p.ready) continue;
+      uint8_t* mask = out[k]->mask.data();
+      uint32_t sum = 0;  // < kStripePixels * 256
+      for (size_t i = begin; i < end; ++i) {
+        mask[i] = IsForeground(px[i], mean[i], threshold);
+        sum += Quantize(mean[i]);
       }
-      std::nth_element(column.begin(), column.begin() + column.size() / 2,
-                       column.end());
-      mean_[i] = column[column.size() / 2];
+      stripe_sums[k] = sum;
     }
+  });
+  if (out.empty()) return;
+  for (size_t k = 0; k < frames.size(); ++k) {
+    if (!plan[k].ready) continue;
+    uint64_t total = 0;
+    for (size_t s = k; s < sums.size(); s += frames.size()) total += sums[s];
+    out[k]->bg_mean =
+        pixels == 0 ? 0.0
+                    : static_cast<double>(total) / static_cast<double>(pixels);
   }
 }
 
 Mask BackgroundModel::Subtract(const Frame& frame) const {
   Mask mask(frame.size(), 0);
   for (size_t i = 0; i < mask.size(); ++i) {
-    const double diff = std::fabs(frame.pixels()[i] - mean_[i]);
-    mask[i] = diff >= options_.diff_threshold ? 1 : 0;
+    mask[i] = IsForeground(frame.pixels()[i], mean_[i],
+                           options_.diff_threshold);
   }
   return mask;
 }
 
 Frame BackgroundModel::BackgroundFrame() const {
   Frame f(width_, height_);
-  for (size_t i = 0; i < mean_.size(); ++i) {
-    f.pixels()[i] = static_cast<uint8_t>(std::clamp(mean_[i], 0.0, 255.0));
-  }
+  for (size_t i = 0; i < mean_.size(); ++i) f.pixels()[i] = Quantize(mean_[i]);
   return f;
 }
 

@@ -7,6 +7,8 @@
 #ifndef MIVID_SEGMENT_BACKGROUND_H_
 #define MIVID_SEGMENT_BACKGROUND_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "video/frame.h"
@@ -33,14 +35,31 @@ struct BackgroundOptions {
   int median_sample_stride = 7;  ///< frames between buffered samples
 };
 
-/// Per-pixel exponential-moving-average background model.
+/// What the model reports for one frame right after updating with it.
+struct BackgroundObservation {
+  bool ready = false;  ///< Ready() held after the update
+  Mask mask;           ///< Subtract(frame); empty unless ready
+  /// BackgroundFrame().MeanIntensity() (the SPCPE hint); -1 unless ready.
+  double bg_mean = -1.0;
+};
+
+/// Per-pixel background model (selective running mean or temporal median).
 class BackgroundModel {
  public:
   explicit BackgroundModel(BackgroundOptions options = {});
 
   /// Updates the model with `frame`. During warmup the frame is averaged
-  /// in with full weight.
+  /// in with full weight. The one-frame case of UpdateBatch.
   void Update(const Frame& frame);
+
+  /// Advances the model through `frames` in order, exactly as one Update
+  /// per frame would. When `out` is non-empty (one entry per frame),
+  /// out[k] receives the model's view of frames[k] right after its own
+  /// update. Every pixel evolves independently, so fixed stripes of the
+  /// model advance through the whole batch in parallel; the result does
+  /// not depend on the thread count.
+  void UpdateBatch(std::span<const Frame* const> frames,
+                   std::span<BackgroundObservation* const> out = {});
 
   /// True once warmup_frames frames have been observed.
   bool Ready() const { return frames_seen_ >= options_.warmup_frames; }
@@ -56,15 +75,15 @@ class BackgroundModel {
   Frame BackgroundFrame() const;
 
  private:
-  void UpdateSelectiveMean(const Frame& frame);
-  void UpdateTemporalMedian(const Frame& frame);
-
   BackgroundOptions options_;
   int width_ = 0;
   int height_ = 0;
   int frames_seen_ = 0;
   std::vector<double> mean_;  ///< current background estimate (both modes)
-  std::vector<std::vector<uint8_t>> median_buffer_;  ///< kTemporalMedian
+  /// kTemporalMedian sample ring: slot s holds pixels [s*size, (s+1)*size).
+  std::vector<uint8_t> median_samples_;
+  int median_count_ = 0;  ///< filled slots
+  int median_next_ = 0;   ///< slot the next sample overwrites
 };
 
 /// Morphological cleanup of a binary mask: removes isolated pixels and

@@ -10,19 +10,37 @@ namespace mivid {
 VehicleSegmenter::VehicleSegmenter(SegmenterOptions options)
     : options_(options), background_(options.background) {}
 
-namespace {
+PendingSegmentation VehicleSegmenter::Ingest(Frame frame) {
+  PendingSegmentation pending;
+  pending.frame = std::move(frame);
+  IngestBatch({&pending, 1});
+  return pending;
+}
 
-/// The pure back half shared by Refine and Process: SPCPE refinement,
-/// morphological cleanup, blob extraction.
-std::vector<Blob> RefineFrame(const Frame& frame, const Mask& subtraction,
-                              double bg_mean, const SegmenterOptions& options) {
+void VehicleSegmenter::IngestBatch(std::span<PendingSegmentation> batch) {
+  std::vector<const Frame*> frames;
+  std::vector<BackgroundObservation*> out;
+  frames.reserve(batch.size());
+  out.reserve(batch.size());
+  for (PendingSegmentation& pending : batch) {
+    frames.push_back(&pending.frame);
+    out.push_back(&pending.background);
+  }
+  background_.UpdateBatch(frames, out);
+}
+
+std::vector<Blob> VehicleSegmenter::Refine(const PendingSegmentation& pending,
+                                           const SegmenterOptions& options) {
+  const BackgroundObservation& bg = pending.background;
+  if (!bg.ready) return {};
   MIVID_TRACE_SPAN("segment/refine");
   MIVID_SCOPED_TIMER("segment/frame_seconds");
-  Mask mask = subtraction;
+  const Frame& frame = pending.frame;
+  Mask mask = bg.mask;
   if (options.use_spcpe) {
     // Refine the candidate foreground: SPCPE separates true vehicle pixels
     // from background clutter that leaked through the threshold.
-    SpcpeResult refined = RunSpcpe(frame, &mask, bg_mean, options.spcpe);
+    SpcpeResult refined = RunSpcpe(frame, &mask, bg.bg_mean, options.spcpe);
     mask = std::move(refined.partition);
   }
   if (options.clean_iterations > 0) {
@@ -35,36 +53,8 @@ std::vector<Blob> RefineFrame(const Frame& frame, const Mask& subtraction,
   return blobs;
 }
 
-}  // namespace
-
-PendingSegmentation VehicleSegmenter::Ingest(Frame frame) {
-  background_.Update(frame);
-  PendingSegmentation pending;
-  pending.ready = background_.Ready();
-  if (!pending.ready) return pending;
-  pending.mask = background_.Subtract(frame);
-  if (options_.use_spcpe) {
-    pending.bg_mean = background_.BackgroundFrame().MeanIntensity();
-  }
-  pending.frame = std::move(frame);
-  return pending;
-}
-
-std::vector<Blob> VehicleSegmenter::Refine(const PendingSegmentation& pending,
-                                           const SegmenterOptions& options) {
-  if (!pending.ready) return {};
-  return RefineFrame(pending.frame, pending.mask, pending.bg_mean, options);
-}
-
 std::vector<Blob> VehicleSegmenter::Process(const Frame& frame) {
-  // Same pipeline as Refine(Ingest(frame)) but without buffering the
-  // frame, so serial per-frame callers pay no copy.
-  background_.Update(frame);
-  if (!background_.Ready()) return {};
-  const Mask mask = background_.Subtract(frame);
-  const double bg_mean =
-      options_.use_spcpe ? background_.BackgroundFrame().MeanIntensity() : -1.0;
-  return RefineFrame(frame, mask, bg_mean, options_);
+  return Refine(Ingest(frame), options_);
 }
 
 }  // namespace mivid

@@ -7,6 +7,7 @@
 #ifndef MIVID_SEGMENT_SEGMENTER_H_
 #define MIVID_SEGMENT_SEGMENTER_H_
 
+#include <span>
 #include <vector>
 
 #include "segment/background.h"
@@ -25,24 +26,24 @@ struct SegmenterOptions {
   bool use_spcpe = true;  ///< disable to use the raw subtraction mask
 };
 
-/// The sequential front half of segmenting one frame: the frame itself,
-/// its background-subtraction mask, and the background statistics SPCPE
-/// needs. Produced by VehicleSegmenter::Ingest (which owns the stateful
-/// background model); consumed by the pure, parallelizable Refine step.
+/// The sequential front half of segmenting one frame: the frame itself
+/// and the background model's view of it (foreground mask plus the
+/// background statistics SPCPE needs). Produced by VehicleSegmenter::Ingest
+/// / IngestBatch (which own the stateful background model); consumed by
+/// the pure, parallelizable Refine step.
 struct PendingSegmentation {
   Frame frame;
-  Mask mask;
-  double bg_mean = -1.0;  ///< background mean intensity (SPCPE hint)
-  bool ready = false;     ///< false during background warmup
+  BackgroundObservation background;
 };
 
 /// Stateful frame-by-frame vehicle segmenter.
 ///
 /// Process() == Refine(Ingest(frame)). The split exists so a clip can be
 /// segmented in parallel: Ingest carries the frame-order-dependent
-/// background update (cheap, must stay sequential), Refine carries the
-/// SPCPE/cleanup/blob extraction (expensive, pure function of one
-/// PendingSegmentation, safe to fan out across frames).
+/// background update (per-pixel independent, so a batch of frames
+/// advances in pixel stripes), Refine carries the SPCPE/cleanup/blob
+/// extraction (expensive, pure function of one PendingSegmentation, safe
+/// to fan out across frames).
 class VehicleSegmenter {
  public:
   explicit VehicleSegmenter(SegmenterOptions options = {});
@@ -52,8 +53,13 @@ class VehicleSegmenter {
   std::vector<Blob> Process(const Frame& frame);
 
   /// Advances the background model with `frame` and captures everything
-  /// the stateless Refine step needs.
+  /// the stateless Refine step needs. The one-frame case of IngestBatch.
   PendingSegmentation Ingest(Frame frame);
+
+  /// Advances the background model through the frames of `batch` in
+  /// order and fills in each one's background observation. Reuses the
+  /// observations' mask storage.
+  void IngestBatch(std::span<PendingSegmentation> batch);
 
   /// Pure second half: SPCPE refinement, morphological cleanup, blob
   /// extraction. Thread-safe; no segmenter state is read or written.

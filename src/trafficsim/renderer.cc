@@ -8,7 +8,7 @@
 namespace mivid {
 
 Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
-    : layout_(layout), options_(options), noise_rng_(options.noise_seed) {
+    : options_(options), noise_rng_(options.noise_seed) {
   background_ = Frame(layout.width, layout.height, layout.background_shade);
   for (const auto& surface : layout.road_surface) {
     FillRect(&background_, surface, layout.road_shade);
@@ -19,32 +19,46 @@ Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
 }
 
 Frame Renderer::Render(const std::vector<VehicleState>& vehicles) {
-  Frame frame = background_;
+  Frame frame;
+  Run(Prepare(vehicles), &frame);
+  return frame;
+}
+
+RenderJob Renderer::Prepare(const std::vector<VehicleState>& vehicles) {
+  RenderJob job;
   for (const auto& v : vehicles) {
-    if (!v.active()) continue;
+    if (v.active()) job.vehicles.push_back(v);
+  }
+  if (options_.illumination_amplitude > 0 &&
+      options_.illumination_period > 0) {
+    job.illumination = options_.illumination_amplitude *
+                       std::sin(2.0 * M_PI * frame_index_ /
+                                options_.illumination_period);
+  }
+  ++frame_index_;
+  job.noise = noise_rng_;
+  // Run draws one Gaussian per pixel; the next frame starts after them.
+  if (noisy()) noise_rng_.SkipGaussians(background_.size());
+  return job;
+}
+
+void Renderer::Run(const RenderJob& job, Frame* frame) const {
+  *frame = background_;
+  for (const auto& v : job.vehicles) {
     const VehicleDims dims = DimsFor(v.type);
-    FillRotatedRect(&frame, v.position, dims.length / 2, dims.width / 2,
+    FillRotatedRect(frame, v.position, dims.length / 2, dims.width / 2,
                     v.heading, v.shade);
   }
 
-  double illumination = 0.0;
-  if (options_.illumination_amplitude > 0 &&
-      options_.illumination_period > 0) {
-    illumination = options_.illumination_amplitude *
-                   std::sin(2.0 * M_PI * frame_index_ /
-                            options_.illumination_period);
-  }
-  ++frame_index_;
-
-  const bool noisy = options_.draw_noise && options_.noise_stddev > 0;
-  if (noisy || illumination != 0.0) {
-    for (auto& p : frame.pixels()) {
-      double v = static_cast<double>(p) + illumination;
-      if (noisy) v += noise_rng_.Gaussian(0, options_.noise_stddev);
+  const bool draw_noise = noisy();
+  if (draw_noise || job.illumination != 0.0) {
+    Rng noise = job.noise;
+    for (auto& p : frame->pixels()) {
+      double v = static_cast<double>(p) + job.illumination;
+      if (draw_noise) v += noise.Gaussian(0, options_.noise_stddev);
       p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
     }
   }
-  return frame;
 }
 
 }  // namespace mivid

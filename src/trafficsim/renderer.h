@@ -27,7 +27,19 @@ struct RenderOptions {
   int illumination_period = 600;        ///< frames per cycle
 };
 
-/// Stateless-per-frame renderer for a fixed layout.
+/// Everything one frame's pixels depend on, captured by Renderer::Prepare.
+struct RenderJob {
+  std::vector<VehicleState> vehicles;  ///< active vehicles, draw order
+  double illumination = 0.0;           ///< global intensity offset
+  Rng noise;  ///< the noise stream positioned at this frame's first draw
+};
+
+/// Renderer for a fixed layout.
+///
+/// Frames depend on their predecessors only through the frame counter and
+/// the position of the shared noise stream, so rendering splits into a
+/// cheap sequential Prepare, which captures both and advances past the
+/// frame, and a pure Run that can draw many frames concurrently.
 class Renderer {
  public:
   Renderer(const RoadLayout& layout, RenderOptions options = {});
@@ -37,10 +49,22 @@ class Renderer {
 
   /// Renders vehicles over the background, then applies illumination
   /// drift and noise. The frame counter advances per call.
+  /// Equivalent to Run(Prepare(vehicles)).
   Frame Render(const std::vector<VehicleState>& vehicles);
 
+  /// Captures the next frame's inputs and advances the frame counter and
+  /// the noise stream past it.
+  RenderJob Prepare(const std::vector<VehicleState>& vehicles);
+
+  /// Draws the frame `job` describes into `*frame`, reusing its storage.
+  /// Thread-safe: reads no mutable renderer state.
+  void Run(const RenderJob& job, Frame* frame) const;
+
  private:
-  const RoadLayout& layout_;
+  bool noisy() const {
+    return options_.draw_noise && options_.noise_stddev > 0;
+  }
+
   RenderOptions options_;
   Frame background_;
   Rng noise_rng_;

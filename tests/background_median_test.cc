@@ -1,6 +1,9 @@
 // Tests for the temporal-median background variant and one-class SMO
 // optimality (brute-force cross-check), plus simulator flow invariants.
 
+#include <algorithm>
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -72,6 +75,44 @@ TEST(TemporalMedianTest, HandlesNoise) {
   size_t fg = 0;
   for (uint8_t m : mask) fg += m;
   EXPECT_LT(fg, mask.size() / 100);
+}
+
+TEST(TemporalMedianTest, BatchUpdateReplacesTheOldestSample) {
+  // Three samples, one per frame: a 64-frame batch wraps the sample ring
+  // many times, and the background must always be the median of the
+  // three newest frames.
+  BackgroundOptions options;
+  options.method = BackgroundMethod::kTemporalMedian;
+  options.warmup_frames = 2;
+  options.median_samples = 3;
+  options.median_sample_stride = 1;
+  std::vector<uint8_t> shades;
+  std::vector<Frame> clip;
+  for (int f = 0; f < 64; ++f) {
+    shades.push_back(static_cast<uint8_t>(60 + (f * 37) % 101));
+    clip.emplace_back(48, 32, shades.back());
+  }
+  std::vector<const Frame*> frames;
+  std::vector<BackgroundObservation> observed(clip.size());
+  std::vector<BackgroundObservation*> out;
+  for (size_t f = 0; f < clip.size(); ++f) {
+    frames.push_back(&clip[f]);
+    out.push_back(&observed[f]);
+  }
+  BackgroundModel model(options);
+  model.UpdateBatch(frames, out);
+  EXPECT_FALSE(observed[0].ready);
+  for (size_t f = 1; f < clip.size(); ++f) {
+    std::vector<uint8_t> newest(shades.begin() + (f < 2 ? 0 : f - 2),
+                                shades.begin() + f + 1);
+    std::sort(newest.begin(), newest.end());
+    const uint8_t median = newest[newest.size() / 2];
+    ASSERT_TRUE(observed[f].ready) << "frame " << f;
+    EXPECT_EQ(observed[f].bg_mean, median) << "frame " << f;
+    const bool moving = std::abs(shades[f] - median) >= options.diff_threshold;
+    EXPECT_EQ(observed[f].mask, Mask(clip[f].size(), moving ? 1 : 0))
+        << "frame " << f;
+  }
 }
 
 /// One-class dual objective 1/2 a^T Q a for the brute-force check.

@@ -1,9 +1,13 @@
 // Tests for segment/: background model, SPCPE, connected components and
 // the full VehicleSegmenter on synthetic frames.
 
+#include <algorithm>
+#include <span>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "segment/segmenter.h"
 #include "video/draw.h"
 
@@ -230,6 +234,108 @@ TEST(SegmenterTest, NoDetectionsDuringWarmup) {
   EXPECT_TRUE(segmenter.Process(frame).empty());
   EXPECT_FALSE(segmenter.Ready());
 }
+
+/// Noisy frames of a bright block sliding over a 97x61 scene: 5917
+/// pixels, so the batch update splits the model into two stripes, the
+/// second one partial.
+std::vector<Frame> SlidingBlockClip(int frames) {
+  Rng rng(3);
+  std::vector<Frame> clip;
+  for (int f = 0; f < frames; ++f) {
+    Frame frame(97, 61, 60);
+    const double x = 2.0 + 0.6 * f;
+    FillRect(&frame, BBox(x, 20, x + 12, 30), 210);
+    for (auto& p : frame.pixels()) {
+      p = static_cast<uint8_t>(std::clamp(
+          static_cast<double>(p) + rng.Gaussian(0, 5.0), 0.0, 255.0));
+    }
+    clip.push_back(std::move(frame));
+  }
+  return clip;
+}
+
+/// Reference model: the background written out frame by frame and pixel
+/// by pixel (running mean, selective EMA, or the median of a buffer of
+/// spaced samples, oldest dropped first), then subtracted and averaged.
+std::vector<BackgroundObservation> FrameByFrameReference(
+    const BackgroundOptions& o, const std::vector<Frame>& clip) {
+  const size_t pixels = clip.front().size();
+  std::vector<double> mean(pixels, 0.0);
+  std::vector<std::vector<uint8_t>> samples;
+  std::vector<BackgroundObservation> out(clip.size());
+  for (size_t f = 0; f < clip.size(); ++f) {
+    const std::vector<uint8_t>& px = clip[f].pixels();
+    const int seen = static_cast<int>(f);
+    if (o.method == BackgroundMethod::kSelectiveMean) {
+      for (size_t i = 0; i < pixels; ++i) {
+        if (seen < o.warmup_frames) {
+          mean[i] = (mean[i] * seen + px[i]) / (seen + 1.0);
+        } else if (std::fabs(px[i] - mean[i]) < o.diff_threshold) {
+          mean[i] = (1.0 - o.learning_rate) * mean[i] + o.learning_rate * px[i];
+        }
+      }
+    } else if (seen < o.warmup_frames || seen % o.median_sample_stride == 0) {
+      samples.push_back(px);
+      if (samples.size() > static_cast<size_t>(o.median_samples)) {
+        samples.erase(samples.begin());
+      }
+      for (size_t i = 0; i < pixels; ++i) {
+        std::vector<uint8_t> column;
+        for (const auto& sample : samples) column.push_back(sample[i]);
+        std::sort(column.begin(), column.end());
+        mean[i] = column[column.size() / 2];
+      }
+    }
+    if (seen + 1 < o.warmup_frames) continue;
+    out[f].ready = true;
+    uint64_t sum = 0;
+    for (size_t i = 0; i < pixels; ++i) {
+      out[f].mask.push_back(std::fabs(px[i] - mean[i]) >= o.diff_threshold);
+      sum += static_cast<uint8_t>(std::clamp(mean[i], 0.0, 255.0));
+    }
+    out[f].bg_mean = static_cast<double>(sum) / pixels;
+  }
+  return out;
+}
+
+class BatchIngestTest : public ::testing::TestWithParam<BackgroundMethod> {};
+
+TEST_P(BatchIngestTest, MatchesFrameByFrameIngestAtAnyBatchSize) {
+  SegmenterOptions options;
+  options.background.method = GetParam();
+  options.background.median_sample_stride = 3;
+  const std::vector<Frame> clip = SlidingBlockClip(150);
+  const std::vector<BackgroundObservation> expected =
+      FrameByFrameReference(options.background, clip);
+  ASSERT_FALSE(expected.front().ready);
+  ASSERT_TRUE(expected.back().ready);
+
+  for (const int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    // Sizes 3 and 64 put the end of warmup inside a batch.
+    for (const size_t batch_size : {1u, 3u, 64u}) {
+      VehicleSegmenter segmenter(options);
+      std::vector<PendingSegmentation> batch(batch_size);  // reused
+      for (size_t b = 0; b < clip.size(); b += batch_size) {
+        const size_t n = std::min(batch_size, clip.size() - b);
+        for (size_t i = 0; i < n; ++i) batch[i].frame = clip[b + i];
+        segmenter.IngestBatch(std::span(batch).first(n));
+        for (size_t i = 0; i < n; ++i) {
+          const BackgroundObservation& got = batch[i].background;
+          const BackgroundObservation& want = expected[b + i];
+          ASSERT_EQ(got.ready, want.ready) << "frame " << b + i;
+          ASSERT_EQ(got.mask, want.mask) << "frame " << b + i;
+          ASSERT_EQ(got.bg_mean, want.bg_mean) << "frame " << b + i;
+        }
+      }
+    }
+  }
+  SetGlobalThreadCount(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothMethods, BatchIngestTest,
+                         ::testing::Values(BackgroundMethod::kSelectiveMean,
+                                           BackgroundMethod::kTemporalMedian));
 
 }  // namespace
 }  // namespace mivid

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "db/video_db.h"
@@ -25,8 +27,12 @@ namespace fs = std::filesystem;
 
 class TempDir {
  public:
+  // The pid suffix keeps concurrent test processes (ctest -j runs each
+  // gtest case in its own process) from clobbering each other's db.
   explicit TempDir(const char* name)
-      : path_((fs::temp_directory_path() / name).string()) {
+      : path_((fs::temp_directory_path() /
+               (std::string(name) + "." + std::to_string(getpid())))
+                  .string()) {
     fs::remove_all(path_);
   }
   ~TempDir() { fs::remove_all(path_); }

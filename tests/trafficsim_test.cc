@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "trafficsim/renderer.h"
 #include "trafficsim/scenarios.h"
 #include "trafficsim/world.h"
@@ -382,6 +384,119 @@ TEST(RendererTest, NoiseIsDeterministicPerRenderer) {
   const Frame f1 = r1.Render({});
   const Frame f2 = r2.Render({});
   EXPECT_EQ(f1.pixels(), f2.pixels());
+}
+
+TEST(RngSkipGaussiansTest, MatchesDrawingEveryValue) {
+  for (const bool cached : {false, true}) {
+    for (const size_t n : {0u, 1u, 2u, 3u, 76800u, 76801u}) {
+      Rng skipped(99);
+      if (cached) (void)skipped.Gaussian();  // leaves the pair's sine cached
+      Rng drawn = skipped;
+      skipped.SkipGaussians(n);
+      for (size_t i = 0; i < n; ++i) (void)drawn.Gaussian();
+      // Same cache state and same xoshiro state: every later draw agrees.
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(skipped.Gaussian(), drawn.Gaussian())
+            << "cached=" << cached << " n=" << n << " draw " << i;
+      }
+      EXPECT_EQ(skipped.Next(), drawn.Next()) << "cached=" << cached
+                                              << " n=" << n;
+    }
+  }
+}
+
+/// A tunnel layout cropped to an odd pixel count, so each frame draws an
+/// odd number of Gaussians and the cached second value carries into the
+/// next frame.
+RoadLayout OddLayout() {
+  RoadLayout layout = MakeTunnelLayout();
+  layout.width = 161;
+  layout.height = 121;
+  return layout;
+}
+
+/// Two vehicles crossing the frame; frame `f`'s snapshot.
+std::vector<VehicleState> MovingVehicles(int f) {
+  VehicleState a;
+  a.id = 0;
+  a.shade = 220;
+  a.position = {10.0 + 1.7 * f, 60};
+  VehicleState b;
+  b.id = 1;
+  b.type = VehicleType::kTruck;
+  b.shade = 40;
+  b.position = {150.0 - 1.3 * f, 70};
+  b.heading = 0.2;
+  VehicleState gone;  // inactive vehicles are never drawn
+  gone.mode = MotionMode::kInactive;
+  gone.position = {80, 60};
+  return {a, gone, b};
+}
+
+TEST(RendererTest, PreparedFramesMatchSequentialRenderInAnyOrder) {
+  RenderOptions options;
+  options.illumination_amplitude = 9.0;
+  options.illumination_period = 17;
+  const RoadLayout layout = OddLayout();
+  ASSERT_EQ(layout.width * layout.height % 2, 1);
+  constexpr int kFrames = 24;
+
+  // Reference: vehicles drawn noise-free, then the illumination and one
+  // continuous Gaussian stream applied pixel by pixel in frame order.
+  RenderOptions clean;
+  clean.draw_noise = false;
+  Renderer drawer(layout, clean);
+  Rng stream(options.noise_seed);
+  std::vector<Frame> expected;
+  for (int f = 0; f < kFrames; ++f) {
+    Frame frame = drawer.Render(MovingVehicles(f));
+    const double illumination =
+        options.illumination_amplitude *
+        std::sin(2.0 * M_PI * f / options.illumination_period);
+    for (auto& p : frame.pixels()) {
+      p = static_cast<uint8_t>(std::clamp(
+          p + illumination + stream.Gaussian(0, options.noise_stddev), 0.0,
+          255.0));
+    }
+    expected.push_back(std::move(frame));
+  }
+
+  Renderer serial(layout, options);
+  for (int f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(serial.Render(MovingVehicles(f)).pixels(), expected[f].pixels())
+        << "serial " << f;
+  }
+
+  Renderer reversed(layout, options);
+  Renderer parallel(layout, options);
+  std::vector<RenderJob> jobs;
+  std::vector<RenderJob> parallel_jobs;
+  for (int f = 0; f < kFrames; ++f) {
+    jobs.push_back(reversed.Prepare(MovingVehicles(f)));
+    parallel_jobs.push_back(parallel.Prepare(MovingVehicles(f)));
+  }
+  std::vector<Frame> frames(kFrames);
+  for (int f = kFrames - 1; f >= 0; --f) reversed.Run(jobs[f], &frames[f]);
+  for (int f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(frames[f].pixels(), expected[f].pixels()) << "reverse " << f;
+  }
+
+  SetGlobalThreadCount(4);
+  std::vector<Frame> parallel_frames(kFrames);
+  ParallelFor(kFrames, 1, [&](size_t begin, size_t end) {
+    for (size_t f = begin; f < end; ++f) {
+      parallel.Run(parallel_jobs[f], &parallel_frames[f]);
+    }
+  });
+  SetGlobalThreadCount(0);
+  for (int f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(parallel_frames[f].pixels(), expected[f].pixels())
+        << "parallel " << f;
+  }
+
+  // The stream continues where the prepared frames left it.
+  EXPECT_EQ(reversed.Render(MovingVehicles(kFrames)).pixels(),
+            serial.Render(MovingVehicles(kFrames)).pixels());
 }
 
 }  // namespace

@@ -22,8 +22,11 @@
 //                 counters are non-negative; histogram and span stats are
 //                 internally consistent (count>0 => min<=p50<=p95<=max).
 //   trace.json    parses; has a traceEvents array; every "X" event has
-//                 name/ts/dur/tid; per-tid end timestamps are monotone.
+//                 name/ts/dur/tid; per-tid end timestamps are monotone;
+//                 the direct children of every "eval/analyze" span cover
+//                 at least 95% of it (no unexplained gap in an experiment).
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -138,6 +141,52 @@ void CheckMetricsJson(const std::string& path) {
   }
 }
 
+/// One "X" event of a trace, reduced to what nesting needs.
+struct TimedSpan {
+  std::string name;
+  double ts;
+  double dur;
+  double end() const { return ts + dur; }
+};
+
+/// Minimum share of an "eval/analyze" span its direct children must cover.
+constexpr double kMinAnalyzeCoverage = 0.95;
+
+/// Spans nest by time on one thread. For every "eval/analyze" span, sums
+/// its direct children (spans it contains that no other contained span
+/// contains) and expects them to cover kMinAnalyzeCoverage of it.
+void CheckAnalyzeCoverage(std::map<double, std::vector<TimedSpan>> by_tid) {
+  constexpr double kRoundingUs = 1.0;  // ts and dur are truncated apart
+  for (auto& [tid, spans] : by_tid) {
+    std::sort(spans.begin(), spans.end(),
+              [](const TimedSpan& a, const TimedSpan& b) {
+                return a.ts != b.ts ? a.ts < b.ts : a.dur > b.dur;
+              });
+    std::vector<const TimedSpan*> open;  // enclosing spans, outermost first
+    std::map<const TimedSpan*, double> covered;  // analyze span -> children
+    for (const TimedSpan& span : spans) {
+      while (!open.empty() && span.end() > open.back()->end() + kRoundingUs) {
+        open.pop_back();
+      }
+      if (!open.empty() && open.back()->name == "eval/analyze") {
+        covered[open.back()] += span.dur;
+      }
+      if (span.name == "eval/analyze") covered.emplace(&span, 0.0);
+      open.push_back(&span);
+    }
+    for (const auto& [analyze, children] : covered) {
+      if (analyze->dur <= 0) continue;
+      const double coverage = children / analyze->dur;
+      std::printf("trace: eval/analyze at %.0f us: children cover %.4f\n",
+                  analyze->ts, coverage);
+      Expect(coverage >= kMinAnalyzeCoverage,
+             StrFormat("trace: direct children cover %.4f of eval/analyze "
+                       "at %.0f us (tid %g), below %.2f",
+                       coverage, analyze->ts, tid, kMinAnalyzeCoverage));
+    }
+  }
+}
+
 void CheckTraceJson(const std::string& path) {
   Result<JsonValue> doc = ParseFile(path);
   if (!doc.ok()) {
@@ -151,6 +200,7 @@ void CheckTraceJson(const std::string& path) {
     return;
   }
   std::map<double, double> last_end_by_tid;
+  std::map<double, std::vector<TimedSpan>> spans_by_tid;
   size_t spans = 0;
   for (const JsonValue& e : events->array) {
     const JsonValue* ph = e.Find("ph");
@@ -186,8 +236,11 @@ void CheckTraceJson(const std::string& path) {
                        tid->number));
       it->second = end;
     }
+    spans_by_tid[tid->number].push_back(
+        TimedSpan{name->string, ts->number, dur->number});
   }
   Expect(spans > 0, "trace: no spans recorded");
+  CheckAnalyzeCoverage(std::move(spans_by_tid));
 }
 
 /// Validates a stitched cluster trace: either a raw Chrome document (as
