@@ -215,6 +215,32 @@ BENCHMARK(BM_RenderBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/// The renderer's noise kernel on its own: one tunnel frame's worth of
+/// Box-Muller pairs (320x240 pixels) under a pinned tier.
+void BM_BoxMullerRow(benchmark::State& state, SimdTier tier) {
+  if (tier == SimdTier::kAvx2 && !Avx2Available()) {
+    state.SkipWithError("avx2 unavailable");
+    return;
+  }
+  SetSimdTier(static_cast<int>(tier));
+  constexpr size_t kPairs = 38400;
+  std::vector<double> u1(kPairs), u2(kPairs), g_cos(kPairs), g_sin(kPairs);
+  Rng(3).BoxMullerUniforms(kPairs, u1.data(), u2.data());
+  const SimdOpsTable& ops = SimdOps();
+  for (auto _ : state) {
+    ops.box_muller_row(u1.data(), u2.data(), kPairs, g_cos.data(),
+                       g_sin.data());
+    benchmark::DoNotOptimize(g_cos.data());
+    benchmark::DoNotOptimize(g_sin.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kPairs));
+  SetSimdTier(-1);
+}
+BENCHMARK_CAPTURE(BM_BoxMullerRow, scalar, SimdTier::kScalar)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BoxMullerRow, avx2, SimdTier::kAvx2)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_BackgroundIngestBatch(benchmark::State& state) {
   // One VisionTracks batch through the stripe-parallel background update
   // of a warmed-up model (selective mean, the default).

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/logging.h"
+
 namespace mivid {
 
 namespace {
@@ -61,20 +63,34 @@ constexpr double kMinU1 = 1e-300;
 
 }  // namespace
 
+void Rng::DrawPairUniforms(double* u1, double* u2) {
+  do {
+    *u1 = Uniform();
+  } while (*u1 <= kMinU1);
+  *u2 = Uniform();
+}
+
+void Rng::BoxMullerPair(double u1, double u2, double* g_cos, double* g_sin) {
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  *g_cos = mag * std::cos(2.0 * M_PI * u2);
+  *g_sin = mag * std::sin(2.0 * M_PI * u2);
+}
+
 double Rng::Gaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1, u2;
-  do {
-    u1 = Uniform();
-  } while (u1 <= kMinU1);
-  u2 = Uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  cached_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
+  double u1, u2, g_cos;
+  DrawPairUniforms(&u1, &u2);
+  BoxMullerPair(u1, u2, &g_cos, &cached_gaussian_);
   has_cached_gaussian_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
+  return g_cos;
+}
+
+void Rng::BoxMullerUniforms(size_t pairs, double* u1, double* u2) {
+  MIVID_CHECK(!has_cached_gaussian_) << "a cached Gaussian precedes the pairs";
+  for (size_t i = 0; i < pairs; ++i) DrawPairUniforms(&u1[i], &u2[i]);
 }
 
 void Rng::SkipGaussians(size_t n) {
@@ -83,11 +99,7 @@ void Rng::SkipGaussians(size_t n) {
     --n;
   }
   // Each pair of draws consumes the same (u1, u2) a fresh Gaussian() does.
-  for (; n >= 2; n -= 2) {
-    while (Uniform() <= kMinU1) {
-    }
-    Next();
-  }
+  for (double u1, u2; n >= 2; n -= 2) DrawPairUniforms(&u1, &u2);
   if (n == 1) (void)Gaussian();
 }
 

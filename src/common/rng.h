@@ -37,6 +37,20 @@ class Rng {
   /// Standard normal via Box-Muller (cached second value).
   double Gaussian();
 
+  /// True when the next Gaussian() returns the cached second value of a
+  /// pair instead of drawing a new one.
+  bool has_cached_gaussian() const { return has_cached_gaussian_; }
+
+  /// Draws the (u1, u2) that `pairs` fresh Gaussian() pairs consume, u1
+  /// rejection included, into u1[0..pairs) and u2[0..pairs). Pair i's
+  /// values are BoxMullerPair(u1[i], u2[i]). Requires no cached value.
+  void BoxMullerUniforms(size_t pairs, double* u1, double* u2);
+
+  /// The Box-Muller pair Gaussian() derives from its uniforms: the first
+  /// value it returns (cosine) and the one it caches (sine), via libm.
+  static void BoxMullerPair(double u1, double u2, double* g_cos,
+                            double* g_sin);
+
   /// Advances the generator exactly as `n` Gaussian() calls would
   /// (cached second value and u1 rejection included), without evaluating
   /// log/sin/cos except for a trailing unpaired draw, whose second value
@@ -65,6 +79,9 @@ class Rng {
   Rng Fork();
 
  private:
+  /// Draws one pair's uniforms exactly as a fresh Gaussian() does.
+  void DrawPairUniforms(double* u1, double* u2);
+
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

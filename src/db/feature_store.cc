@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 
 #include "db/codec.h"
@@ -137,10 +138,14 @@ Result<std::vector<IncidentRecord>> DeserializeIncidents(
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  // The temp name carries the pid so replicated workers journaling the
-  // same session file over a shared database never interleave writes
-  // into one temp file; rename() still makes the final swap atomic.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // The temp name carries the pid and a per-process call counter, so
+  // neither replicated workers journaling the same session file over a
+  // shared database nor threads of one process writing the same file
+  // ever interleave writes into one temp file; rename() still makes the
+  // final swap atomic.
+  static std::atomic<uint64_t> calls{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(calls.fetch_add(1));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) return Status::IOError("cannot open " + tmp + " for writing");
   const size_t written =

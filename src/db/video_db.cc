@@ -70,8 +70,31 @@ std::string VideoDb::ModelPath(const std::string& name) const {
   return path_ + "/model_" + name + ".svm";
 }
 
+std::vector<ClipInfo> VideoDb::ListClips() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return catalog_.List();
+}
+
+std::vector<std::string> VideoDb::Cameras() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return catalog_.Cameras();
+}
+
+std::vector<int> VideoDb::ClipsForCamera(const std::string& camera_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return catalog_.ClipsForCamera(camera_id);
+}
+
+size_t VideoDb::clip_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return catalog_.size();
+}
+
 Status VideoDb::SaveClipVideo(int clip_id, const VideoClip& video) {
-  MIVID_RETURN_IF_ERROR(catalog_.Get(clip_id).status());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    MIVID_RETURN_IF_ERROR(catalog_.Get(clip_id).status());
+  }
   return WriteFileAtomic(VideoPath(clip_id), SerializeFrames(video));
 }
 
@@ -92,6 +115,7 @@ bool VideoDb::HasClipVideo(int clip_id) const {
 Result<int> VideoDb::IngestClip(const ClipInfo& info,
                                 const std::vector<Track>& tracks,
                                 const std::vector<IncidentRecord>& incidents) {
+  std::lock_guard<std::mutex> lock(mu_);
   const int id = catalog_.Add(info);
   Status s = WriteFileAtomic(TracksPath(id), SerializeTracks(tracks));
   if (s.ok()) {
@@ -110,7 +134,10 @@ Result<int> VideoDb::IngestClip(const ClipInfo& info,
 
 Result<ClipRecord> VideoDb::LoadClip(int clip_id) const {
   ClipRecord record;
-  MIVID_ASSIGN_OR_RETURN(record.info, catalog_.Get(clip_id));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    MIVID_ASSIGN_OR_RETURN(record.info, catalog_.Get(clip_id));
+  }
   {
     MIVID_ASSIGN_OR_RETURN(std::string bytes,
                            ReadFileToString(TracksPath(clip_id)));
@@ -125,6 +152,7 @@ Result<ClipRecord> VideoDb::LoadClip(int clip_id) const {
 }
 
 Status VideoDb::DeleteClip(int clip_id) {
+  std::lock_guard<std::mutex> lock(mu_);
   MIVID_RETURN_IF_ERROR(catalog_.Remove(clip_id));
   std::remove(TracksPath(clip_id).c_str());
   std::remove(IncidentsPath(clip_id).c_str());

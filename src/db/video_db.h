@@ -13,6 +13,7 @@
 #define MIVID_DB_VIDEO_DB_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,8 @@ struct ClipRecord {
   std::vector<IncidentRecord> incidents;
 };
 
-/// The database handle.
+/// The database handle. Catalog updates (ingest, delete) and catalog
+/// queries may run concurrently from several threads.
 class VideoDb {
  public:
   /// Opens (or creates) a database rooted at `path`.
@@ -57,12 +59,10 @@ class VideoDb {
   Status DeleteClip(int clip_id);
 
   /// Catalog queries.
-  std::vector<ClipInfo> ListClips() const { return catalog_.List(); }
-  std::vector<std::string> Cameras() const { return catalog_.Cameras(); }
-  std::vector<int> ClipsForCamera(const std::string& camera_id) const {
-    return catalog_.ClipsForCamera(camera_id);
-  }
-  size_t clip_count() const { return catalog_.size(); }
+  std::vector<ClipInfo> ListClips() const;
+  std::vector<std::string> Cameras() const;
+  std::vector<int> ClipsForCamera(const std::string& camera_id) const;
+  size_t clip_count() const;
 
   /// Stores the clip's raw video (RLE-compressed frames) for playback of
   /// retrieved windows. The clip must exist in the catalog.
@@ -89,6 +89,7 @@ class VideoDb {
  private:
   explicit VideoDb(std::string path) : path_(std::move(path)) {}
 
+  /// Requires mu_ (or exclusive access, as in Open).
   Status PersistCatalog() const;
   std::string TracksPath(int clip_id) const;
   std::string IncidentsPath(int clip_id) const;
@@ -97,6 +98,9 @@ class VideoDb {
   std::string SessionPath(const std::string& name) const;
 
   std::string path_;
+  /// Guards catalog_ and serializes each catalog change with the payload
+  /// writes and the catalog persist that go with it.
+  mutable std::mutex mu_;
   Catalog catalog_;
 };
 

@@ -19,6 +19,8 @@
 //    element (Cody-Waite reduction + Horner polynomial + exact 2^k
 //    scaling). DetExp agrees with std::exp to ~1 ulp but is reproducible
 //    across tiers, which libm's exp is not once vectorized.
+//  * box_muller_row follows the same pattern for log/sqrt/sin/cos (see
+//    box_muller_constants.h).
 //
 // The SoA operand layout ("X[k * stride + j] = feature k of point j") is
 // produced by PackedFeatureMatrix (packed_matrix.h); u operands are plain
@@ -77,7 +79,18 @@ struct SimdOpsTable {
   /// out[j] = DetExp(-gamma * d2[j]) — the RBF kernel row.
   void (*rbf_from_d2_row)(double gamma, const double* d2, size_t count,
                           double* out);
+  /// Polynomial Box-Muller: g_cos[j] and g_sin[j] approximate
+  /// Rng::BoxMullerPair(u1[j], u2[j]) within kBoxMullerMaxAbsError, for
+  /// u1 in [1e-300, 1] and u2 in [0, 1). No libm calls.
+  void (*box_muller_row)(const double* u1, const double* u2, size_t count,
+                         double* g_cos, double* g_sin);
 };
+
+/// Bound on |box_muller_row - Rng::BoxMullerPair| per value. The
+/// approximation's error is a few ulp of the log and of the angle times
+/// |mag| <= 38.6; the measured max, libm's own rounding included, is
+/// 2.3e-14, so the bound keeps a 40x headroom.
+constexpr double kBoxMullerMaxAbsError = 1e-12;
 
 /// The kernel table of the active tier.
 const SimdOpsTable& SimdOps();

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 
+#include "linalg/box_muller_constants.h"
 #include "linalg/det_exp_constants.h"
 #include "linalg/simd.h"
 
@@ -262,12 +263,103 @@ void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   for (; j < count; ++j) out[j] = DetExp(ng * d2[j]);
 }
 
+/// Horner evaluation of `poly` at `z`, as the scalar tier's loops.
+template <int kTerms>
+inline __m256d Horner4(const double (&poly)[kTerms], __m256d z) {
+  __m256d p = _mm256_set1_pd(poly[0]);
+  for (int i = 1; i < kTerms; ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(poly[i]));
+  }
+  return p;
+}
+
+/// Four-lane Box-Muller: the same op sequence as the scalar BoxMullerRow,
+/// with its branches as blends.
+inline void BoxMuller4(__m256d u1, __m256d u2, __m256d* g_cos,
+                       __m256d* g_sin) {
+  using namespace box_muller;
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256i bits = _mm256_castpd_si256(u1);
+  __m256d e = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(kTwo52Bits))),
+      _mm256_set1_pd(kTwo52PlusBias));
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(kMantissaMask)),
+      _mm256_set1_epi64x(kOneBits)));
+  const __m256d big = _mm256_cmp_pd(m, _mm256_set1_pd(kSqrt2), _CMP_GE_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), big);
+  e = _mm256_blendv_pd(e, _mm256_add_pd(e, one), big);
+  const __m256d s =
+      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d q = Horner4(kLogPoly, z);
+  const __m256d log_m = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), s),
+                                      _mm256_mul_pd(s, _mm256_mul_pd(z, q)));
+  const __m256d log_u1 = _mm256_add_pd(
+      _mm256_mul_pd(e, _mm256_set1_pd(kLn2Hi)),
+      _mm256_add_pd(log_m, _mm256_mul_pd(e, _mm256_set1_pd(kLn2Lo))));
+  const __m256d mag =
+      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_u1));
+
+  const __m256d quadrant = _mm256_floor_pd(_mm256_add_pd(
+      _mm256_mul_pd(u2, _mm256_set1_pd(4.0)), _mm256_set1_pd(0.5)));
+  const __m256d theta = _mm256_mul_pd(
+      _mm256_sub_pd(u2, _mm256_mul_pd(quadrant, _mm256_set1_pd(0.25))),
+      _mm256_set1_pd(kTwoPi));
+  const __m256d t2 = _mm256_mul_pd(theta, theta);
+  const __m256d sp = Horner4(kSinPoly, t2);
+  const __m256d cp = Horner4(kCosPoly, t2);
+  const __m256d sin_t =
+      _mm256_add_pd(theta, _mm256_mul_pd(theta, _mm256_mul_pd(t2, sp)));
+  const __m256d cos_t = _mm256_add_pd(one, _mm256_mul_pd(t2, cp));
+  const __m256d q1 = _mm256_cmp_pd(quadrant, one, _CMP_EQ_OQ);
+  const __m256d q2 = _mm256_cmp_pd(quadrant, _mm256_set1_pd(2.0), _CMP_EQ_OQ);
+  const __m256d q3 = _mm256_cmp_pd(quadrant, _mm256_set1_pd(3.0), _CMP_EQ_OQ);
+  const __m256d odd = _mm256_or_pd(q1, q3);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d cosine = _mm256_xor_pd(_mm256_blendv_pd(cos_t, sin_t, odd),
+                                       _mm256_and_pd(_mm256_or_pd(q1, q2), sign));
+  const __m256d sine = _mm256_xor_pd(_mm256_blendv_pd(sin_t, cos_t, odd),
+                                     _mm256_and_pd(_mm256_or_pd(q2, q3), sign));
+  *g_cos = _mm256_mul_pd(mag, cosine);
+  *g_sin = _mm256_mul_pd(mag, sine);
+}
+
+void BoxMullerRow(const double* u1, const double* u2, size_t count,
+                  double* g_cos, double* g_sin) {
+  size_t j = 0;
+  // Two independent lane groups per iteration overlap the long divide,
+  // sqrt and Horner latency chains.
+  for (; j + 8 <= count; j += 8) {
+    __m256d c0, s0, c1, s1;
+    BoxMuller4(_mm256_loadu_pd(u1 + j), _mm256_loadu_pd(u2 + j), &c0, &s0);
+    BoxMuller4(_mm256_loadu_pd(u1 + j + 4), _mm256_loadu_pd(u2 + j + 4), &c1,
+               &s1);
+    _mm256_storeu_pd(g_cos + j, c0);
+    _mm256_storeu_pd(g_sin + j, s0);
+    _mm256_storeu_pd(g_cos + j + 4, c1);
+    _mm256_storeu_pd(g_sin + j + 4, s1);
+  }
+  for (; j + 4 <= count; j += 4) {
+    __m256d c, s;
+    BoxMuller4(_mm256_loadu_pd(u1 + j), _mm256_loadu_pd(u2 + j), &c, &s);
+    _mm256_storeu_pd(g_cos + j, c);
+    _mm256_storeu_pd(g_sin + j, s);
+  }
+  if (j < count) {
+    simd_internal::kScalarOps.box_muller_row(u1 + j, u2 + j, count - j,
+                                             g_cos + j, g_sin + j);
+  }
+}
+
 }  // namespace
 
 namespace simd_internal {
 
 const SimdOpsTable kAvx2Ops = {
-    ExpandedD2Row, DirectD2Row, DotRow, Axpy, AxpyDiff, RbfFromD2Row,
+    ExpandedD2Row, DirectD2Row, DotRow,       Axpy,
+    AxpyDiff,      RbfFromD2Row, BoxMullerRow,
 };
 
 }  // namespace simd_internal

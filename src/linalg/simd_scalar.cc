@@ -7,9 +7,12 @@
 // default — contraction would silently change roundings and break the
 // scalar-vs-AVX2 bit-identity contract.
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
+#include "linalg/box_muller_constants.h"
 #include "linalg/det_exp_constants.h"
 #include "linalg/simd.h"
 
@@ -79,6 +82,47 @@ void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   for (size_t j = 0; j < count; ++j) out[j] = DetExpImpl(ng * d2[j]);
 }
 
+void BoxMullerRow(const double* u1, const double* u2, size_t count,
+                  double* g_cos, double* g_sin) {
+  using namespace box_muller;
+  for (size_t j = 0; j < count; ++j) {
+    // log u1 = e ln2 + log m, m in [sqrt(1/2), sqrt(2)).
+    const uint64_t bits = std::bit_cast<uint64_t>(u1[j]);
+    double e = std::bit_cast<double>((bits >> 52) | kTwo52Bits) -
+               kTwo52PlusBias;
+    double m = std::bit_cast<double>((bits & kMantissaMask) | kOneBits);
+    if (m >= kSqrt2) {
+      m = m * 0.5;
+      e = e + 1.0;
+    }
+    const double s = (m - 1.0) / (m + 1.0);
+    const double z = s * s;
+    double q = kLogPoly[0];
+    for (int i = 1; i < kLogTerms; ++i) q = q * z + kLogPoly[i];
+    const double log_m = 2.0 * s + s * (z * q);
+    const double log_u1 = e * kLn2Hi + (log_m + e * kLn2Lo);
+    const double mag = std::sqrt(-2.0 * log_u1);
+
+    // 2 pi u2 = quadrant pi/2 + theta, |theta| <= pi/4.
+    const double quadrant = __builtin_floor(u2[j] * 4.0 + 0.5);
+    const double theta = (u2[j] - quadrant * 0.25) * kTwoPi;
+    const double t2 = theta * theta;
+    double sp = kSinPoly[0];
+    for (int i = 1; i < kSinTerms; ++i) sp = sp * t2 + kSinPoly[i];
+    double cp = kCosPoly[0];
+    for (int i = 1; i < kCosTerms; ++i) cp = cp * t2 + kCosPoly[i];
+    const double sin_t = theta + theta * (t2 * sp);
+    const double cos_t = 1.0 + t2 * cp;
+    const bool odd = quadrant == 1.0 || quadrant == 3.0;
+    double cosine = odd ? sin_t : cos_t;
+    double sine = odd ? cos_t : sin_t;
+    if (quadrant == 1.0 || quadrant == 2.0) cosine = -cosine;
+    if (quadrant == 2.0 || quadrant == 3.0) sine = -sine;
+    g_cos[j] = mag * cosine;
+    g_sin[j] = mag * sine;
+  }
+}
+
 }  // namespace
 
 double DetExp(double x) { return DetExpImpl(x); }
@@ -86,7 +130,8 @@ double DetExp(double x) { return DetExpImpl(x); }
 namespace simd_internal {
 
 const SimdOpsTable kScalarOps = {
-    ExpandedD2Row, DirectD2Row, DotRow, Axpy, AxpyDiff, RbfFromD2Row,
+    ExpandedD2Row, DirectD2Row, DotRow,       Axpy,
+    AxpyDiff,      RbfFromD2Row, BoxMullerRow,
 };
 
 }  // namespace simd_internal

@@ -165,25 +165,48 @@ Frame BackgroundModel::BackgroundFrame() const {
   return f;
 }
 
+namespace {
+
+/// dst[x] = sum of row[x-1 .. x+1] within the row.
+void RowTripleSums(const uint8_t* row, size_t width, uint16_t* dst) {
+  if (width == 1) {
+    dst[0] = row[0];
+    return;
+  }
+  dst[0] = row[0] + row[1];
+  for (size_t x = 1; x + 1 < width; ++x) {
+    dst[x] = row[x - 1] + row[x] + row[x + 1];
+  }
+  dst[width - 1] = row[width - 2] + row[width - 1];
+}
+
+}  // namespace
+
 Mask CleanMask(const Mask& mask, int width, int height, int iterations) {
   Mask cur = mask;
+  const size_t w = width > 0 ? static_cast<size_t>(width) : 0;
+  const size_t h = height > 0 && w > 0 ? static_cast<size_t>(height) : 0;
+  // The 3x3 count is separable: horizontal 3-sums of the rows above, at
+  // and below, added. Three rolling rows of sums; missing rows sum to 0.
+  std::vector<uint16_t> rows(3 * w);
   for (int it = 0; it < iterations; ++it) {
     Mask next(cur.size(), 0);
-    for (int y = 0; y < height; ++y) {
-      for (int x = 0; x < width; ++x) {
-        int count = 0;
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            const int nx = x + dx, ny = y + dy;
-            if (nx < 0 || nx >= width || ny < 0 || ny >= height) continue;
-            count += cur[static_cast<size_t>(ny) * static_cast<size_t>(width) +
-                         static_cast<size_t>(nx)];
-          }
-        }
-        // Majority of the 3x3 neighborhood (center included).
-        next[static_cast<size_t>(y) * static_cast<size_t>(width) +
-             static_cast<size_t>(x)] = count >= 5 ? 1 : 0;
+    uint16_t* above = rows.data();
+    uint16_t* at = above + w;
+    uint16_t* below = at + w;
+    std::fill(above, above + w, 0);
+    if (h > 0) RowTripleSums(cur.data(), w, at);
+    for (size_t y = 0; y < h; ++y) {
+      if (y + 1 < h) {
+        RowTripleSums(cur.data() + (y + 1) * w, w, below);
+      } else {
+        std::fill(below, below + w, 0);
       }
+      uint8_t* out = next.data() + y * w;
+      // Majority of the 3x3 neighborhood (center included).
+      for (size_t x = 0; x < w; ++x) out[x] = above[x] + at[x] + below[x] >= 5;
+      std::swap(above, at);
+      std::swap(at, below);
     }
     cur.swap(next);
   }

@@ -3,9 +3,78 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/simd.h"
+#include "obs/metrics.h"
 #include "video/draw.h"
 
 namespace mivid {
+
+namespace {
+
+/// Pixel pairs per noise block of Run (two stack buffers of uniforms and
+/// two of approximations: 8 KiB).
+constexpr size_t kNoiseBlockPairs = 256;
+
+/// Noisy value of pixel `p`, computed exactly as adding
+/// Gaussian(0, stddev) noise does, clamped to [0.5, 255.5]. Its integer
+/// part is the pixel's byte uint8(clamp(v, 0, 255)), since the byte only
+/// changes at the integers 1..255; and it lies within `margin` of a byte
+/// boundary exactly when its fraction lies within `margin` of 0 or 1.
+double ClampedNoisyValue(uint8_t p, double illumination, double stddev,
+                         double g) {
+  double v = static_cast<double>(p) + illumination;
+  v += 0.0 + stddev * g;
+  return std::min(std::max(v, 0.5), 255.5);
+}
+
+uint8_t NoisyPixel(uint8_t p, double illumination, double stddev, double g) {
+  return static_cast<uint8_t>(ClampedNoisyValue(p, illumination, stddev, g));
+}
+
+}  // namespace
+
+namespace render_internal {
+
+size_t QuantizeNoisyPairs(const double* u1, const double* u2,
+                          const double* g_cos, const double* g_sin,
+                          size_t pairs, double illumination, double stddev,
+                          double margin, uint8_t* pixels) {
+  // Branch-free pass over the approximations, then the rare exact pairs.
+  const double far = 0.5 - margin;  // |frac - 1/2| > far: near a boundary
+  uint8_t bytes[2 * kNoiseBlockPairs];
+  bool near[kNoiseBlockPairs];
+  size_t exact = 0;
+  for (size_t begin = 0; begin < pairs; begin += kNoiseBlockPairs) {
+    const size_t n = std::min(pairs - begin, kNoiseBlockPairs);
+    uint8_t* px = pixels + 2 * begin;
+    int any = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double w0 =
+          ClampedNoisyValue(px[2 * i], illumination, stddev, g_cos[begin + i]);
+      const double w1 = ClampedNoisyValue(px[2 * i + 1], illumination, stddev,
+                                          g_sin[begin + i]);
+      const int b0 = static_cast<int>(w0);
+      const int b1 = static_cast<int>(w1);
+      bytes[2 * i] = static_cast<uint8_t>(b0);
+      bytes[2 * i + 1] = static_cast<uint8_t>(b1);
+      near[i] = (std::fabs(w0 - b0 - 0.5) > far) |
+                (std::fabs(w1 - b1 - 0.5) > far);
+      any |= near[i];
+    }
+    for (size_t i = 0; any && i < n; ++i) {
+      if (!near[i]) continue;
+      double gc, gs;
+      Rng::BoxMullerPair(u1[begin + i], u2[begin + i], &gc, &gs);
+      bytes[2 * i] = NoisyPixel(px[2 * i], illumination, stddev, gc);
+      bytes[2 * i + 1] = NoisyPixel(px[2 * i + 1], illumination, stddev, gs);
+      ++exact;
+    }
+    std::copy(bytes, bytes + 2 * n, px);
+  }
+  return exact;
+}
+
+}  // namespace render_internal
 
 Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
     : options_(options), noise_rng_(options.noise_seed) {
@@ -50,15 +119,48 @@ void Renderer::Run(const RenderJob& job, Frame* frame) const {
                     v.heading, v.shade);
   }
 
-  const bool draw_noise = noisy();
-  if (draw_noise || job.illumination != 0.0) {
-    Rng noise = job.noise;
+  if (!noisy()) {
+    if (job.illumination == 0.0) return;
     for (auto& p : frame->pixels()) {
-      double v = static_cast<double>(p) + job.illumination;
-      if (draw_noise) v += noise.Gaussian(0, options_.noise_stddev);
-      p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+      p = static_cast<uint8_t>(
+          std::clamp(static_cast<double>(p) + job.illumination, 0.0, 255.0));
     }
+    return;
   }
+
+  // Pixel i takes the stream's i-th Gaussian. Pairs of fresh draws come
+  // from the polynomial Box-Muller row, whose values are within
+  // kBoxMullerMaxAbsError of libm's. A noisy value then differs from the
+  // exact one by at most `margin`: stddev times that error, plus the
+  // roundings of stddev * g (|g| <= 38.6, so under stddev * 1e-14) and
+  // of the add into a value near a boundary (<= 256, under 1e-13). Only
+  // pairs within `margin` of a boundary need libm's exact values.
+  const double sd = options_.noise_stddev;
+  const double illum = job.illumination;
+  const double margin = sd * (kBoxMullerMaxAbsError + 1e-14) + 1e-13;
+  const SimdOpsTable& ops = SimdOps();
+  Rng noise = job.noise;
+  uint8_t* px = frame->pixels().data();
+  size_t left = frame->pixels().size();
+  if (left > 0 && noise.has_cached_gaussian()) {
+    *px = NoisyPixel(*px, illum, sd, noise.Gaussian());
+    ++px;
+    --left;
+  }
+  size_t exact_pairs = 0;
+  double u1[kNoiseBlockPairs], u2[kNoiseBlockPairs];
+  double g_cos[kNoiseBlockPairs], g_sin[kNoiseBlockPairs];
+  while (left >= 2) {
+    const size_t pairs = std::min(left / 2, kNoiseBlockPairs);
+    noise.BoxMullerUniforms(pairs, u1, u2);
+    ops.box_muller_row(u1, u2, pairs, g_cos, g_sin);
+    exact_pairs += render_internal::QuantizeNoisyPairs(
+        u1, u2, g_cos, g_sin, pairs, illum, sd, margin, px);
+    px += 2 * pairs;
+    left -= 2 * pairs;
+  }
+  if (left == 1) *px = NoisyPixel(*px, illum, sd, noise.Gaussian());
+  MIVID_METRIC_COUNT("render/noise_exact_pairs", exact_pairs);
 }
 
 }  // namespace mivid

@@ -7,6 +7,8 @@
 #ifndef MIVID_TRAFFICSIM_RENDERER_H_
 #define MIVID_TRAFFICSIM_RENDERER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,6 +73,23 @@ class Renderer {
   int frame_index_ = 0;
 };
 
+namespace render_internal {
+
+/// Writes `pairs` noisy pixel pairs in place: pixel 2i takes g_cos[i] and
+/// pixel 2i+1 g_sin[i], each as
+/// uint8(clamp((p + illumination) + (0 + stddev * g), 0, 255)), exactly
+/// as Gaussian(0, stddev) noise would. The g are approximations of
+/// Rng::BoxMullerPair(u1[i], u2[i]); a pair either of whose approximate
+/// values lies within `margin` of a quantization boundary (an integer in
+/// [1, 255]) is recomputed from the exact pair. If every approximate
+/// noisy value is within `margin` of the exact one, the bytes are those
+/// of the exact pairs. Returns the number of recomputed pairs.
+size_t QuantizeNoisyPairs(const double* u1, const double* u2,
+                          const double* g_cos, const double* g_sin,
+                          size_t pairs, double illumination, double stddev,
+                          double margin, uint8_t* pixels);
+
+}  // namespace render_internal
 }  // namespace mivid
 
 #endif  // MIVID_TRAFFICSIM_RENDERER_H_

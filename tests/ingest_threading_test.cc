@@ -6,18 +6,21 @@
 // epoch are bit-identical no matter how much ingest/publish churn runs
 // concurrently. These tests drive Publish against concurrent Snapshot +
 // rank (both in-process and through the server's HandleLine path) and a
-// concurrent-reader sweep over the window aggregates' products.
+// concurrent-reader sweep over the window aggregates' products. Clips
+// cut by several cameras at once go through one VideoDb concurrently.
 
 #include <unistd.h>
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "db/feature_store.h"
 #include "db/query_engine.h"
 #include "db/video_db.h"
 #include "ingest/camera_ingestor.h"
@@ -187,6 +190,106 @@ TEST(IngestThreadingTest, ConcurrentSnapshotsColdLoadOnce) {
     EXPECT_EQ(epoch.get(), seen[0].get());
   }
   EXPECT_EQ(corpora.stats().misses, 1u);
+}
+
+/// Files under `dir` whose name contains ".tmp.".
+std::vector<std::string> TempFiles(const std::string& dir) {
+  std::vector<std::string> found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(IngestThreadingTest, ConcurrentIngestClipsKeepCatalogAndFiles) {
+  TempDir dir("mivid_ingest_threads_clips");
+  VideoDbOptions db_options;
+  db_options.create_if_missing = true;
+  auto opened = VideoDb::Open(dir.path(), db_options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<VideoDb> db = std::move(opened).value();
+
+  const GroundTruth gt = SimulateClip(120, /*seed=*/5);
+  constexpr int kThreads = 8;
+  constexpr int kClipsPerThread = 25;
+  std::vector<std::vector<int>> ids(kThreads);
+  std::atomic<bool> done{false};
+  // A reader queries the catalog while the cameras cut clips.
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const std::string& camera : db->Cameras()) {
+        (void)db->ClipsForCamera(camera);
+      }
+      (void)db->ListClips();
+    }
+  });
+  std::vector<std::thread> cameras;
+  for (int t = 0; t < kThreads; ++t) {
+    cameras.emplace_back([&, t] {
+      ClipInfo info;
+      info.camera_id = "cam" + std::to_string(t);
+      info.total_frames = gt.total_frames;
+      for (int c = 0; c < kClipsPerThread; ++c) {
+        info.start_time_ms = c;
+        Result<int> id = db->IngestClip(info, gt.tracks, gt.incidents);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ids[t].push_back(id.value());
+      }
+    });
+  }
+  for (std::thread& t : cameras) t.join();
+  done = true;
+  reader.join();
+
+  std::set<int> distinct;
+  for (const auto& per_camera : ids) {
+    distinct.insert(per_camera.begin(), per_camera.end());
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads * kClipsPerThread));
+  EXPECT_TRUE(TempFiles(dir.path()).empty());
+
+  db.reset();
+  auto reopened = VideoDb::Open(dir.path(), VideoDbOptions{});
+  ASSERT_TRUE(reopened.ok());
+  std::set<int> listed;
+  for (const ClipInfo& info : reopened.value()->ListClips()) {
+    listed.insert(info.clip_id);
+  }
+  EXPECT_EQ(listed, distinct);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(reopened.value()->ClipsForCamera("cam" + std::to_string(t)),
+              ids[t]);
+  }
+  for (int id : distinct) {
+    Result<ClipRecord> record = reopened.value()->LoadClip(id);
+    ASSERT_TRUE(record.ok()) << "clip " << id;
+    EXPECT_EQ(record.value().tracks.size(), gt.tracks.size());
+  }
+}
+
+TEST(IngestThreadingTest, ConcurrentAtomicWritesToOneFileNeverCollide) {
+  TempDir dir("mivid_ingest_threads_atomic");
+  fs::create_directories(dir.path());
+  const std::string path = dir.path() + "/shared";
+  constexpr int kThreads = 8;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      const std::string bytes(4096, static_cast<char>('a' + t));
+      for (int i = 0; i < 50; ++i) {
+        const Status s = WriteFileAtomic(path, bytes);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  // The survivor is one writer's whole content, never a mix.
+  Result<std::string> got = ReadFileToString(path);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().size(), 4096u);
+  EXPECT_EQ(got.value(), std::string(4096, got.value()[0]));
+  EXPECT_TRUE(TempFiles(dir.path()).empty());
 }
 
 }  // namespace

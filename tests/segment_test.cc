@@ -73,6 +73,48 @@ TEST(CleanMaskTest, RemovesIsolatedPixelsKeepsBlocks) {
   EXPECT_EQ(cleaned[10 * 16 + 10], 1);
 }
 
+/// The bounds-checked 9-neighbour majority scan CleanMask replaced.
+Mask BruteForceCleanMask(const Mask& mask, int width, int height,
+                         int iterations) {
+  Mask cur = mask;
+  for (int it = 0; it < iterations; ++it) {
+    Mask next(cur.size(), 0);
+    for (int y = 0; y < height; ++y) {
+      for (int x = 0; x < width; ++x) {
+        int count = 0;
+        for (int dy = -1; dy <= 1; ++dy) {
+          for (int dx = -1; dx <= 1; ++dx) {
+            const int nx = x + dx, ny = y + dy;
+            if (nx < 0 || nx >= width || ny < 0 || ny >= height) continue;
+            count += cur[static_cast<size_t>(ny) * width + nx];
+          }
+        }
+        next[static_cast<size_t>(y) * width + x] = count >= 5 ? 1 : 0;
+      }
+    }
+    cur.swap(next);
+  }
+  return cur;
+}
+
+TEST(CleanMaskTest, SeparableCountMatchesBruteForceScan) {
+  Rng rng(41);
+  for (const int width : {1, 2, 3, 4, 17, 64}) {
+    for (const int height : {1, 2, 3, 5, 33}) {
+      for (const double density : {0.2, 0.5, 0.8}) {
+        Mask mask(static_cast<size_t>(width) * height);
+        for (auto& m : mask) m = rng.Bernoulli(density) ? 1 : 0;
+        for (int iterations = 0; iterations <= 3; ++iterations) {
+          EXPECT_EQ(CleanMask(mask, width, height, iterations),
+                    BruteForceCleanMask(mask, width, height, iterations))
+              << width << "x" << height << " density " << density
+              << " iterations " << iterations;
+        }
+      }
+    }
+  }
+}
+
 TEST(SpcpeTest, SeparatesTwoIntensityClasses) {
   Frame frame(32, 32, 50);
   FillRect(&frame, BBox(8, 8, 15, 15), 210);

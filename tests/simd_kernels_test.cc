@@ -6,6 +6,7 @@
 // results on every dispatch tier, so rankings never depend on the host's
 // instruction set (or on MIVID_SIMD / MIVID_THREADS).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -204,6 +205,97 @@ TEST(SimdKernelsTest, EnvOverrideSelectsTier) {
   SetSimdTier(-1);
   EXPECT_EQ(ActiveSimdTier(),
             Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar);
+}
+
+/// Box-Muller inputs: the random pairs a Gaussian stream draws, then
+/// the edge sets where the log's and the angle's reductions switch
+/// branches or lose relative accuracy.
+void BoxMullerInputs(size_t random_pairs, std::vector<double>* u1,
+                     std::vector<double>* u2) {
+  u1->resize(random_pairs);
+  u2->resize(random_pairs);
+  Rng(17).BoxMullerUniforms(random_pairs, u1->data(), u2->data());
+  auto add = [&](double a, double b) {
+    u1->push_back(a);
+    u2->push_back(b);
+  };
+  Rng rng(23);
+  // u1 -> 1, where log u1 -> 0 and sqrt amplifies its absolute error.
+  for (int k = 1; k <= 2000; ++k) add(1.0 - k * 0x1p-53, rng.Uniform());
+  add(1.0, 0.3);
+  // The smallest u1 a stream can draw, and just above it.
+  add(1e-300, 0.7);
+  add(std::nextafter(1e-300, 1.0), 0.2);
+  // Powers of two and sqrt(1/2) * 2^p, a few ulp either side: the
+  // exponent split and the mantissa fold switch there.
+  for (int p = -996; p <= -1; ++p) {
+    for (int d = -3; d <= 3; ++d) {
+      const double pow2 = std::ldexp(1.0 + d * 0x1p-52, p);
+      const double root = std::ldexp(std::sqrt(0.5), p) +
+                          d * std::ldexp(0x1p-53, p);
+      if (pow2 < 1.0 && pow2 >= 1e-300) add(pow2, rng.Uniform());
+      if (root < 1.0 && root >= 1e-300) add(root, rng.Uniform());
+    }
+  }
+  // u2 at and around the quadrant boundaries (multiples of 1/8).
+  for (int q = 0; q <= 8; ++q) {
+    for (int d = -4; d <= 4; ++d) {
+      const double t = q / 8.0 + d * 0x1p-53;
+      if (t >= 0.0 && t < 1.0) {
+        add(rng.Uniform(1e-3, 1.0), t);
+        add(1.0 - 0x1p-53, t);
+      }
+    }
+  }
+}
+
+TEST(BoxMullerRowTest, TracksLibmWithinTheBoundOnEveryTier) {
+  std::vector<double> u1, u2;
+  BoxMullerInputs(1000000, &u1, &u2);
+  const size_t n = u1.size();
+  std::vector<double> want_cos(n), want_sin(n);
+  for (size_t j = 0; j < n; ++j) {
+    Rng::BoxMullerPair(u1[j], u2[j], &want_cos[j], &want_sin[j]);
+  }
+  TierGuard guard;
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+    if (tier == SimdTier::kAvx2 && !Avx2Available()) continue;
+    SetSimdTier(static_cast<int>(tier));
+    std::vector<double> g_cos(n), g_sin(n);
+    SimdOps().box_muller_row(u1.data(), u2.data(), n, g_cos.data(),
+                             g_sin.data());
+    double worst = 0.0;
+    size_t worst_at = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const double err = std::max(std::fabs(g_cos[j] - want_cos[j]),
+                                  std::fabs(g_sin[j] - want_sin[j]));
+      if (!(err <= worst)) {  // also catches NaN
+        worst = err;
+        worst_at = j;
+      }
+    }
+    EXPECT_LE(worst, kBoxMullerMaxAbsError)
+        << SimdTierName(tier) << " u1=" << u1[worst_at]
+        << " u2=" << u2[worst_at];
+  }
+}
+
+TEST(BoxMullerRowTest, TiersAgreeBitForBitAtEveryLengthAndOffset) {
+  std::vector<double> u1, u2;
+  BoxMullerInputs(200, &u1, &u2);
+  for (size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
+    for (size_t n = 0; n <= 37; ++n) {
+      ExpectTiersAgree(2 * n, [&](double* out) {
+        SimdOps().box_muller_row(u1.data() + offset, u2.data() + offset, n,
+                                 out, out + n);
+      });
+    }
+  }
+  // The whole edge set in one row.
+  const size_t n = u1.size();
+  ExpectTiersAgree(2 * n, [&](double* out) {
+    SimdOps().box_muller_row(u1.data(), u2.data(), n, out, out + n);
+  });
 }
 
 TEST(PackedMatrixTest, LayoutNormsAndRoundTrip) {

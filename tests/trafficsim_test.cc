@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "linalg/simd.h"
 #include "trafficsim/renderer.h"
 #include "trafficsim/scenarios.h"
 #include "trafficsim/world.h"
@@ -497,6 +499,105 @@ TEST(RendererTest, PreparedFramesMatchSequentialRenderInAnyOrder) {
   // The stream continues where the prepared frames left it.
   EXPECT_EQ(reversed.Render(MovingVehicles(kFrames)).pixels(),
             serial.Render(MovingVehicles(kFrames)).pixels());
+}
+
+/// Restores native SIMD dispatch however a test leaves the tier.
+class TierGuard {
+ public:
+  ~TierGuard() { SetSimdTier(-1); }
+};
+
+/// The SIMD tiers this host can run.
+std::vector<SimdTier> AvailableTiers() {
+  std::vector<SimdTier> tiers = {SimdTier::kScalar};
+  if (Avx2Available()) tiers.push_back(SimdTier::kAvx2);
+  return tiers;
+}
+
+TEST(RendererNoiseTest, RunMatchesPerPixelGaussianReference) {
+  // Odd pixel count: frames 1 and 3 start on the cached second value of
+  // the previous frame's last pair and end on an unpaired draw.
+  const RoadLayout layout = OddLayout();
+  constexpr int kFrames = 4;
+  TierGuard guard;
+  for (const double stddev : {0.5, 6.0, 40.0}) {
+    for (const bool noise : {true, false}) {
+      RenderOptions options;
+      options.noise_stddev = stddev;
+      options.draw_noise = noise;
+      options.illumination_amplitude = 7.5;
+      options.illumination_period = 5;
+      // Reference: the noise-free drawing, then illumination and one
+      // Gaussian() call per pixel from a single stream.
+      RenderOptions clean;
+      clean.draw_noise = false;
+      Renderer drawer(layout, clean);
+      Rng stream(options.noise_seed);
+      std::vector<Frame> expected;
+      for (int f = 0; f < kFrames; ++f) {
+        Frame frame = drawer.Render(MovingVehicles(3 * f));
+        const double illumination =
+            options.illumination_amplitude *
+            std::sin(2.0 * M_PI * f / options.illumination_period);
+        for (auto& p : frame.pixels()) {
+          double v = p + illumination;
+          if (noise) v += stream.Gaussian(0, stddev);
+          p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+        }
+        expected.push_back(std::move(frame));
+      }
+      for (const SimdTier tier : AvailableTiers()) {
+        SetSimdTier(static_cast<int>(tier));
+        Renderer renderer(layout, options);
+        for (int f = 0; f < kFrames; ++f) {
+          EXPECT_EQ(renderer.Render(MovingVehicles(3 * f)).pixels(),
+                    expected[f].pixels())
+              << "stddev " << stddev << " noise " << noise << " tier "
+              << SimdTierName(tier) << " frame " << f;
+        }
+      }
+    }
+  }
+}
+
+TEST(RendererNoiseTest, QuantizeFallsBackToExactPairsWithinTheMargin) {
+  // Approximations off by up to 0.9 margin in pixel units must still
+  // give the exact pairs' bytes. A wide margin makes many values land
+  // near a boundary, where only the exact fallback gets them right.
+  constexpr size_t kPairs = 3000;
+  constexpr double kIllumination = 3.7;
+  Rng rng(31);
+  std::vector<double> u1(kPairs), u2(kPairs);
+  rng.BoxMullerUniforms(kPairs, u1.data(), u2.data());
+  std::vector<uint8_t> background(2 * kPairs);
+  for (auto& p : background) p = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (const double stddev : {0.5, 6.0, 40.0}) {
+    for (const double margin : {0.3, 1e-3}) {
+      std::vector<uint8_t> expected = background;
+      std::vector<double> g_cos(kPairs), g_sin(kPairs);
+      for (size_t i = 0; i < kPairs; ++i) {
+        double gc, gs;
+        Rng::BoxMullerPair(u1[i], u2[i], &gc, &gs);
+        for (int k = 0; k < 2; ++k) {
+          uint8_t& p = expected[2 * i + k];
+          double v = p + kIllumination;
+          v += 0.0 + stddev * (k == 0 ? gc : gs);
+          p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+        }
+        const double shift = 0.9 * margin / stddev;
+        g_cos[i] = gc + (rng.Bernoulli(0.5) ? shift : -shift);
+        g_sin[i] = gs + (rng.Bernoulli(0.5) ? shift : -shift);
+      }
+      std::vector<uint8_t> pixels = background;
+      const size_t exact = render_internal::QuantizeNoisyPairs(
+          u1.data(), u2.data(), g_cos.data(), g_sin.data(), kPairs,
+          kIllumination, stddev, margin, pixels.data());
+      EXPECT_EQ(pixels, expected) << "stddev " << stddev << " margin "
+                                  << margin;
+      EXPECT_GT(exact, 0u);
+      EXPECT_LT(exact, kPairs);
+    }
+  }
 }
 
 }  // namespace
