@@ -1,7 +1,9 @@
 #include "db/packed_corpus_io.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "common/string_util.h"
 #include "db/codec.h"
 #include "db/feature_store.h"
 
@@ -32,6 +34,15 @@ Status GetI32(Decoder* dec, int* value) {
   MIVID_RETURN_IF_ERROR(dec->GetFixed32(&raw));
   *value = static_cast<int>(raw);
   return Status::OK();
+}
+
+/// The instance dimension every corpus built under `options` has: one
+/// feature vector per checkpoint of a window (ExtractWindows clamps the
+/// window to at least one checkpoint).
+uint64_t SnapshotInstanceDim(const QueryOptions& options) {
+  const uint64_t checkpoints =
+      static_cast<uint64_t>(std::max(1, options.windows.window_size));
+  return checkpoints * (options.features.include_velocity ? 4 : 3);
 }
 
 /// FNV-1a, the usual 64-bit parameters.
@@ -71,10 +82,6 @@ Status WritePackedCorpusFile(const CameraCorpus& corpus,
                              const QueryOptions& options) {
   const std::shared_ptr<const PackedCorpus> packed =
       corpus.dataset.EnsurePacked();
-  if (!packed->valid) {
-    return Status::FailedPrecondition(
-        "corpus has mixed instance dimensions; no packed layout to store");
-  }
   const PackedFeatureMatrix& feat = packed->features;
 
   std::string meta;
@@ -229,13 +236,24 @@ Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
         "corpus snapshot was extracted under different query options: " +
         path);
   }
-  if (stride != PackedFeatureMatrix::StrideFor(n) ||
+  // The instance dimension is implied by the (fingerprinted) options; any
+  // other value is damage, and would size every per-instance vector.
+  if (dim != (n == 0 ? 0 : SnapshotInstanceDim(options))) {
+    return Status::Corruption(
+        StrFormat("corpus snapshot instance dimension %llu does not match "
+                  "its query options: %s",
+                  static_cast<unsigned long long>(dim), path.c_str()));
+  }
+  // Every size is checked against the mapping before it is multiplied or
+  // added, so no product or sum below can wrap.
+  const uint64_t max_doubles = mapping.size / sizeof(double);
+  if (n > max_doubles || stride != PackedFeatureMatrix::StrideFor(n) ||
+      features_offset > mapping.size || meta_offset > mapping.size ||
+      (stride != 0 && dim > max_doubles / stride) ||
       features_bytes != dim * stride * sizeof(double) ||
       features_offset % alignof(double) != 0 ||
-      features_offset + features_bytes < features_offset ||
-      features_offset + features_bytes > mapping.size ||
-      meta_offset + meta_bytes < meta_offset ||
-      meta_offset + meta_bytes > mapping.size) {
+      features_bytes > mapping.size - features_offset ||
+      meta_bytes > mapping.size - meta_offset) {
     return Status::Corruption("corpus snapshot layout out of bounds: " + path);
   }
   const std::string_view features_view(base + features_offset,
@@ -261,19 +279,19 @@ Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
     uint64_t instance_count = 0;
     MIVID_RETURN_IF_ERROR(GetI32(&meta, &bag.id));
     MIVID_RETURN_IF_ERROR(meta.GetFixed64(&instance_count));
+    if (instance_count > n - next_instance) {
+      return Status::Corruption(
+          "corpus snapshot bag table exceeds the feature block: " + path);
+    }
     bag.instances.reserve(instance_count);
     for (uint64_t i = 0; i < instance_count; ++i) {
       MilInstance inst;
       inst.bag_id = bag.id;
       MIVID_RETURN_IF_ERROR(GetI32(&meta, &inst.instance_id));
       MIVID_RETURN_IF_ERROR(meta.GetVec(&inst.raw_features));
-      if (next_instance >= n) {
-        return Status::Corruption(
-            "corpus snapshot bag table exceeds the feature block: " + path);
-      }
-      // Materialize the AoS vector for the non-packed code paths; the
-      // gather reads the exact stored doubles, so it round-trips bit-
-      // for-bit with what the packed view serves.
+      // Materialize the AoS vector (training sets and support vectors are
+      // Vecs); the gather reads the exact stored doubles, so it round-
+      // trips bit-for-bit with what the packed view serves.
       inst.features.resize(dim);
       for (size_t k = 0; k < dim; ++k) {
         inst.features[k] = features[k * stride + next_instance];
@@ -281,7 +299,7 @@ Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
       ++next_instance;
       bag.instances.push_back(std::move(inst));
     }
-    corpus->dataset.AddBag(std::move(bag));
+    MIVID_RETURN_IF_ERROR(corpus->dataset.AddBag(std::move(bag)));
   }
   if (next_instance != n) {
     return Status::Corruption(
@@ -328,7 +346,6 @@ Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
   }
   packed->features =
       PackedFeatureMatrix::View(features, n, dim, stride, mapping.keepalive);
-  packed->valid = true;
   corpus->dataset.AdoptPacked(std::move(packed));
   return std::shared_ptr<const CameraCorpus>(std::move(corpus));
 }

@@ -28,8 +28,9 @@
 //   [84,88)  u32 CRC32C(metadata)
 //   [88,92)  u32 CRC32C(header [0,88))
 //
-// A snapshot is only written for packable corpora (uniform instance
-// dimension); mixed-dimension corpora keep using the extraction path.
+// `dim` must be the one the fingerprinted QueryOptions imply
+// (window_size checkpoints of 3 features, 4 with include_velocity), or 0
+// for a corpus without instances.
 
 #ifndef MIVID_DB_PACKED_CORPUS_IO_H_
 #define MIVID_DB_PACKED_CORPUS_IO_H_
@@ -48,8 +49,6 @@ namespace mivid {
 uint64_t QueryOptionsFingerprint(const QueryOptions& options);
 
 /// Writes `corpus` as a snapshot at `path` (write-to-temp + rename).
-/// Fails with FailedPrecondition when the corpus has mixed instance
-/// dimensions (no packed layout exists to store).
 Status WritePackedCorpusFile(const CameraCorpus& corpus,
                              const std::string& path,
                              const QueryOptions& options);
@@ -57,9 +56,10 @@ Status WritePackedCorpusFile(const CameraCorpus& corpus,
 /// Loads a snapshot written by WritePackedCorpusFile. The feature block
 /// is mmap'd and adopted zero-copy as the dataset's packed corpus (the
 /// mapping is pinned by the returned corpus); per-instance AoS vectors
-/// are materialized from it for the non-packed code paths. Fails with
-/// FailedPrecondition when `options` does not match the stored
-/// fingerprint, and Corruption/DataLoss on structural damage.
+/// are materialized from it too. Fails with FailedPrecondition when
+/// `options` does not match the stored fingerprint, and Corruption/DataLoss
+/// on structural damage (an instance dimension the options do not imply
+/// included).
 Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
     const std::string& path, const QueryOptions& options);
 

@@ -1,5 +1,7 @@
 #include "db/query_engine.h"
 
+#include <cassert>
+
 namespace mivid {
 
 ClipExtraction ExtractClip(const ClipRecord& record,
@@ -40,7 +42,11 @@ void AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
     corpus->bag_refs[bag.id] =
         CorpusBagRef{clip.clip_id, vs.vs_id, vs.begin_frame, vs.end_frame};
     corpus->truth[bag.id] = oracle.LabelFor(vs);
-    corpus->dataset.AddBag(std::move(bag));
+    // Every TS spans window_size checkpoints under `options`, so the
+    // instance dimension is fixed.
+    [[maybe_unused]] const Status added =
+        corpus->dataset.AddBag(std::move(bag));
+    assert(added.ok());
     ++(*next_bag_id);
   }
 }

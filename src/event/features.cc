@@ -6,6 +6,36 @@
 
 namespace mivid {
 
+SamplingPointFeatures CheckpointFeatures(const std::vector<TrackPoint>& cp,
+                                         size_t i, double mdist,
+                                         const FeatureOptions& options) {
+  SamplingPointFeatures f;
+  f.frame = cp[i].frame;
+  f.centroid = cp[i].centroid;
+  if (i >= 1) {
+    const int dt = cp[i].frame - cp[i - 1].frame;
+    f.speed = Distance(cp[i].centroid, cp[i - 1].centroid) / std::max(1, dt);
+  }
+  if (i >= 2) {
+    const int dt_prev = cp[i - 1].frame - cp[i - 2].frame;
+    const double prev_speed =
+        Distance(cp[i - 1].centroid, cp[i - 2].centroid) /
+        std::max(1, dt_prev);
+    f.vdiff = std::fabs(f.speed - prev_speed);
+    const Vec2 m1 = cp[i - 1].centroid - cp[i - 2].centroid;
+    const Vec2 m2 = cp[i].centroid - cp[i - 1].centroid;
+    // Centroid jitter on a near-stationary vehicle produces random
+    // directions; only measure the angle when both motion vectors are
+    // long enough to be trustworthy.
+    f.theta = m1.Norm() >= options.min_motion &&
+                      m2.Norm() >= options.min_motion
+                  ? AngleBetween(m1, m2)
+                  : 0.0;
+  }
+  f.inv_mdist = mdist < 0 ? 0.0 : 1.0 / std::max(mdist, options.min_mdist);
+  return f;
+}
+
 std::vector<TrackFeatures> ComputeTrackFeatures(
     const std::vector<Track>& tracks, const FeatureOptions& options) {
   const int rate = std::max(1, options.sampling_rate);
@@ -37,46 +67,18 @@ std::vector<TrackFeatures> ComputeTrackFeatures(
     tf.points.reserve(s.points.size());
 
     for (size_t i = 0; i < s.points.size(); ++i) {
-      SamplingPointFeatures f;
-      f.frame = s.points[i].frame;
-      f.centroid = s.points[i].centroid;
-
-      if (i >= 1) {
-        const int dt = s.points[i].frame - s.points[i - 1].frame;
-        f.speed = Distance(s.points[i].centroid, s.points[i - 1].centroid) /
-                  std::max(1, dt);
-      }
-      if (i >= 2) {
-        const int dt_prev = s.points[i - 1].frame - s.points[i - 2].frame;
-        const double prev_speed =
-            Distance(s.points[i - 1].centroid, s.points[i - 2].centroid) /
-            std::max(1, dt_prev);
-        f.vdiff = std::fabs(f.speed - prev_speed);
-        const Vec2 m1 = s.points[i - 1].centroid - s.points[i - 2].centroid;
-        const Vec2 m2 = s.points[i].centroid - s.points[i - 1].centroid;
-        // Centroid jitter on a near-stationary vehicle produces random
-        // directions; only measure the angle when both motion vectors are
-        // long enough to be trustworthy.
-        f.theta = m1.Norm() >= options.min_motion &&
-                          m2.Norm() >= options.min_motion
-                      ? AngleBetween(m1, m2)
-                      : 0.0;
-      }
-
       // Minimum distance to the nearest co-visible vehicle.
+      const TrackPoint& p = s.points[i];
       double mdist = -1.0;
-      auto it = by_frame.find(f.frame);
+      auto it = by_frame.find(p.frame);
       if (it != by_frame.end()) {
         for (const auto& [other_id, centroid] : it->second) {
           if (other_id == s.track_id) continue;
-          const double d = Distance(f.centroid, centroid);
+          const double d = Distance(p.centroid, centroid);
           if (mdist < 0 || d < mdist) mdist = d;
         }
       }
-      f.inv_mdist =
-          mdist < 0 ? 0.0 : 1.0 / std::max(mdist, options.min_mdist);
-
-      tf.points.push_back(f);
+      tf.points.push_back(CheckpointFeatures(s.points, i, mdist, options));
     }
     out.push_back(std::move(tf));
   }

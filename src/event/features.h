@@ -53,6 +53,15 @@ struct TrackFeatures {
   std::vector<SamplingPointFeatures> points;  ///< ascending frame order
 };
 
+/// The features of checkpoint `i` of one track's checkpoints `cp` (grid
+/// points, ascending frame order): speed, vdiff and theta from the
+/// preceding checkpoints, inv_mdist from `mdist`, the distance to the
+/// nearest co-visible vehicle (< 0 when none is visible). The one
+/// checkpoint arithmetic of the batch and the streamed extractors.
+SamplingPointFeatures CheckpointFeatures(const std::vector<TrackPoint>& cp,
+                                         size_t i, double mdist,
+                                         const FeatureOptions& options);
+
 /// Computes checkpoint features for every track of a clip. Checkpoints lie
 /// on the shared grid (frame % sampling_rate == 0) so that mdist can relate
 /// co-occurring vehicles; tracks shorter than two checkpoints are dropped.

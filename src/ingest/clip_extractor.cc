@@ -75,41 +75,17 @@ void IncrementalClipExtractor::CommitGrid(int g) {
         << "checkpoint committed out of order for track " << id;
     const std::vector<TrackPoint>& cp = s.checkpoints;
 
-    // Same arithmetic as ComputeTrackFeatures (event/features.cc).
-    SamplingPointFeatures f;
-    f.frame = g;
-    f.centroid = cp[i].centroid;
-    if (i >= 1) {
-      const int dt = cp[i].frame - cp[i - 1].frame;
-      f.speed =
-          Distance(cp[i].centroid, cp[i - 1].centroid) / std::max(1, dt);
-    }
-    if (i >= 2) {
-      const int dt_prev = cp[i - 1].frame - cp[i - 2].frame;
-      const double prev_speed =
-          Distance(cp[i - 1].centroid, cp[i - 2].centroid) /
-          std::max(1, dt_prev);
-      f.vdiff = std::fabs(f.speed - prev_speed);
-      const Vec2 m1 = cp[i - 1].centroid - cp[i - 2].centroid;
-      const Vec2 m2 = cp[i].centroid - cp[i - 1].centroid;
-      f.theta = m1.Norm() >= features_.min_motion &&
-                        m2.Norm() >= features_.min_motion
-                    ? AngleBetween(m1, m2)
-                    : 0.0;
-    }
-
+    // Minimum distance to the nearest co-visible vehicle.
     double mdist = -1.0;
     for (int other : eligible) {
       if (other == id) continue;
-      const double d =
-          Distance(f.centroid, tracks_.at(other).checkpoints
-                                   [tracks_.at(other).ordinal_by_frame.at(g)]
-                                       .centroid);
+      const TrackState& o = tracks_.at(other);
+      const double d = Distance(
+          cp[i].centroid, o.checkpoints[o.ordinal_by_frame.at(g)].centroid);
       if (mdist < 0 || d < mdist) mdist = d;
     }
-    f.inv_mdist =
-        mdist < 0 ? 0.0 : 1.0 / std::max(mdist, features_.min_mdist);
-
+    const SamplingPointFeatures f =
+        CheckpointFeatures(cp, i, mdist, features_);
     s.feats.push_back(f);
     scaler_agg_.Add(f.ToVector(features_.include_velocity));
   }

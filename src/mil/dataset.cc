@@ -1,5 +1,7 @@
 #include "mil/dataset.h"
 
+#include <cassert>
+
 #include "common/string_util.h"
 
 namespace mivid {
@@ -19,9 +21,29 @@ MilDataset MilDataset::FromVideoSequences(
       inst.raw_features = ts.FlattenRaw(include_velocity);
       bag.instances.push_back(std::move(inst));
     }
-    ds.AddBag(std::move(bag));
+    // Every TS spans the same window, so the dimension is fixed.
+    [[maybe_unused]] const Status added = ds.AddBag(std::move(bag));
+    assert(added.ok());
   }
   return ds;
+}
+
+Status MilDataset::AddBag(MilBag bag) {
+  const size_t want = instances_ > 0 || bag.instances.empty()
+                          ? dim_
+                          : bag.instances[0].features.size();
+  for (const MilInstance& inst : bag.instances) {
+    if (inst.features.size() != want) {
+      return Status::InvalidArgument(StrFormat(
+          "bag %d has a %zu-dimensional instance; the dataset's are %zu",
+          bag.id, inst.features.size(), want));
+    }
+  }
+  dim_ = want;
+  instances_ += bag.instances.size();
+  bags_.push_back(std::move(bag));
+  packed_.reset();  // the cached SoA lowering no longer matches
+  return Status::OK();
 }
 
 const MilBag* MilDataset::FindBag(int bag_id) const {
@@ -52,12 +74,6 @@ std::vector<const MilBag*> MilDataset::BagsWithLabel(BagLabel label) const {
 size_t MilDataset::CountLabel(BagLabel label) const {
   size_t n = 0;
   for (const auto& b : bags_) n += b.label == label ? 1 : 0;
-  return n;
-}
-
-size_t MilDataset::TotalInstances() const {
-  size_t n = 0;
-  for (const auto& b : bags_) n += b.instances.size();
   return n;
 }
 

@@ -25,10 +25,14 @@ class MilDataset {
       const std::vector<VideoSequence>& windows, const FeatureScaler& scaler,
       bool include_velocity);
 
-  void AddBag(MilBag bag) {
-    bags_.push_back(std::move(bag));
-    packed_.reset();  // the cached SoA lowering no longer matches
-  }
+  /// Appends `bag`. Every instance of a dataset shares one feature
+  /// dimension, fixed by the first instance added (an empty bag fixes
+  /// nothing); a bag with any other dimension is rejected with
+  /// InvalidArgument and the dataset is left unchanged.
+  Status AddBag(MilBag bag);
+
+  /// The instance feature dimension (0 until an instance is added).
+  size_t dim() const { return dim_; }
 
   size_t size() const { return bags_.size(); }
   const MilBag& bag(size_t i) const { return bags_[i]; }
@@ -47,7 +51,7 @@ class MilDataset {
   size_t CountLabel(BagLabel label) const;
 
   /// Total instance count across all bags.
-  size_t TotalInstances() const;
+  size_t TotalInstances() const { return instances_; }
 
   /// Clears all feedback labels (start a fresh session on the corpus).
   void ResetLabels();
@@ -55,8 +59,7 @@ class MilDataset {
   /// The SoA lowering of all instance features, built on first use and
   /// cached until AddBag invalidates it. Datasets are copied per session
   /// (the bags are identical), so copies share one packed corpus via the
-  /// shared_ptr. Returns a corpus with valid == false when instance
-  /// dimensions are mixed; callers then use the per-Vec paths.
+  /// shared_ptr.
   std::shared_ptr<const PackedCorpus> EnsurePacked() const {
     if (!packed_) packed_ = BuildPackedCorpus(bags_);
     return packed_;
@@ -70,6 +73,8 @@ class MilDataset {
 
  private:
   std::vector<MilBag> bags_;
+  size_t instances_ = 0;
+  size_t dim_ = 0;
   /// Mutable: lowering the bags is a cache fill, not an observable state
   /// change; engines holding a `const MilDataset*` still need it.
   mutable std::shared_ptr<const PackedCorpus> packed_;

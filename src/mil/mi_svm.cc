@@ -39,20 +39,13 @@ Status MiSvmEngine::Learn() {
 
   // The negative side is fixed across outer iterations, so its SoA packing
   // is built once and reused by every round's bandwidth median below.
-  PackedFeatureMatrix neg_packed;
-  {
-    std::vector<const Vec*> neg_points;
-    neg_points.reserve(negatives.size());
-    bool uniform = true;
-    const size_t neg_dim = negatives[0]->features.size();
-    for (const MilInstance* inst : negatives) {
-      if (inst->features.size() != neg_dim) uniform = false;
-      neg_points.push_back(&inst->features);
-    }
-    if (uniform && neg_dim > 0) {
-      neg_packed = PackedFeatureMatrix::FromPoints(neg_points, neg_dim);
-    }
+  std::vector<const Vec*> neg_points;
+  neg_points.reserve(negatives.size());
+  for (const MilInstance* inst : negatives) {
+    neg_points.push_back(&inst->features);
   }
+  const PackedFeatureMatrix neg_packed =
+      PackedFeatureMatrix::FromPoints(neg_points, dataset_->dim());
 
   // Witness per positive bag; -1 in the first round means "use the bag
   // mean as a synthetic positive exemplar" (the original MI-SVM
@@ -103,21 +96,12 @@ Status MiSvmEngine::Learn() {
       const SimdOpsTable& ops = SimdOps();
       for (size_t i = 0; i < points.size(); ++i) {
         if (labels[i] != 1) continue;
-        if (!neg_packed.empty() && points[i].size() == neg_packed.dim()) {
-          // One SIMD row against the packed negatives; the negatives occupy
-          // the tail of `points` in the same order, so the push order (and
-          // every distance, bit-for-bit) matches the pairwise loop.
-          ops.direct_d2_row(points[i].data(), neg_packed.dim(),
-                            neg_packed.data(), neg_packed.stride(),
-                            negatives.size(), d2.data());
-          for (size_t j = 0; j < negatives.size(); ++j) {
-            dists.push_back(std::sqrt(d2[j]));
-          }
-        } else {
-          for (size_t j = 0; j < points.size(); ++j) {
-            if (labels[j] != -1) continue;
-            dists.push_back(std::sqrt(SquaredDistance(points[i], points[j])));
-          }
+        // One SIMD row of positive-to-negative distances.
+        ops.direct_d2_row(points[i].data(), neg_packed.dim(),
+                          neg_packed.data(), neg_packed.stride(),
+                          negatives.size(), d2.data());
+        for (size_t j = 0; j < negatives.size(); ++j) {
+          dists.push_back(std::sqrt(d2[j]));
         }
       }
       if (!dists.empty()) {

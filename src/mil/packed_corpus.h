@@ -6,10 +6,10 @@
 // bag order) plus per-bag offsets, and every ranking pass streams the
 // packed block through the SIMD batch primitives instead. The packing is
 // pure layout: feature values are copied verbatim, so scores computed
-// from the packed view are bit-identical to the per-Vec path.
+// from the packed view are bit-identical to evaluating each Vec.
 //
-// A corpus with mixed feature dimensions cannot be packed; `valid` stays
-// false and consumers fall back to the Vec-at-a-time code path.
+// It is the only corpus representation the engines score: MilDataset
+// admits one instance dimension per corpus, so every corpus packs.
 
 #ifndef MIVID_MIL_PACKED_CORPUS_H_
 #define MIVID_MIL_PACKED_CORPUS_H_
@@ -28,12 +28,10 @@ struct PackedCorpus {
   /// bag_begin[b] .. bag_begin[b+1] are bag b's columns in `features`
   /// (size = bag count + 1).
   std::vector<size_t> bag_begin;
-  /// False when the corpus could not be packed (mixed dimensions).
-  bool valid = false;
 };
 
-/// Lowers `bags` into a packed corpus. The result is valid iff every
-/// instance shares one feature dimension (an empty corpus is valid).
+/// Lowers `bags` into a packed corpus. Every instance must share one
+/// feature dimension (MilDataset::AddBag guarantees it).
 std::shared_ptr<const PackedCorpus> BuildPackedCorpus(
     const std::vector<MilBag>& bags);
 

@@ -20,16 +20,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-}  // namespace
-
-namespace {
-
-/// A training candidate: the instance vector, its heuristic score, and its
-/// stable identity (the kernel-cache key).
+/// A training candidate: the instance vector and its heuristic score.
 struct TrainingCandidate {
   Vec features;
   double score = 0.0;
-  InstanceKey id;
 };
 
 }  // namespace
@@ -50,8 +44,6 @@ Status MilRfEngine::Learn() {
   MIVID_TRACE_SPAN("mil/learn");
   MIVID_SCOPED_TIMER("mil/learn_seconds");
   const auto learn_start = std::chrono::steady_clock::now();
-  const uint64_t cache_hits_before = kernel_cache_.hits();
-  const uint64_t cache_misses_before = kernel_cache_.misses();
   const std::vector<const MilBag*> relevant =
       dataset_->BagsWithLabel(BagLabel::kRelevant);
   if (relevant.empty()) {
@@ -73,8 +65,7 @@ Status MilRfEngine::Learn() {
       best_score = std::max(best_score, scores.back());
     }
     auto add = [&](size_t i) {
-      candidates.push_back({bag->instances[i].features, scores[i],
-                            {bag->id, bag->instances[i].instance_id}});
+      candidates.push_back({bag->instances[i].features, scores[i]});
     };
     if (options_.policy == TrainingSetPolicy::kAllInstances) {
       for (size_t i = 0; i < scores.size(); ++i) add(i);
@@ -108,23 +99,10 @@ Status MilRfEngine::Learn() {
     if (!kept.empty()) candidates.swap(kept);
   }
   std::vector<Vec> training;
-  std::vector<InstanceKey> training_ids;
   training.reserve(candidates.size());
-  training_ids.reserve(candidates.size());
-  for (auto& c : candidates) {
-    training.push_back(std::move(c.features));
-    training_ids.push_back(c.id);
-  }
+  for (auto& c : candidates) training.push_back(std::move(c.features));
   if (training.empty()) {
     return Status::FailedPrecondition("relevant bags contain no instances");
-  }
-  // Validate dimensions before any pairwise work: the distance kernels
-  // index both vectors by the same coordinate.
-  for (const auto& t : training) {
-    if (t.size() != training[0].size()) {
-      return Status::InvalidArgument(
-          "relevant bags contain instances of inconsistent dimension");
-    }
   }
 
   // Eq. 9: delta = 1 - (h/H + z).
@@ -138,13 +116,10 @@ Status MilRfEngine::Learn() {
   svm_options.kernel = options_.kernel;
   const bool rbf = svm_options.kernel.type == KernelType::kRbf;
 
-  // RBF sessions reuse pairwise distances across rounds: only the pairs
-  // involving newly labeled instances are computed, the rest are cache
-  // hits. The distances feed both the bandwidth heuristic and the Gram.
+  // RBF: one pass of pairwise squared distances feeds both the bandwidth
+  // heuristic and the Gram.
   std::optional<Matrix> d2;
-  if (rbf) {
-    d2 = kernel_cache_.PairwiseSquaredDistances(training, training_ids);
-  }
+  if (rbf) d2 = PairwiseSquaredDistances(training);
   if (options_.auto_sigma && rbf && training.size() >= 2) {
     // Median-distance bandwidth heuristic: wide enough to generalize
     // across the relevant cluster, narrow enough to exclude the rest.
@@ -185,8 +160,6 @@ Status MilRfEngine::Learn() {
   stats.support_vectors = model_->num_support_vectors();
   stats.smo_iterations = model_->iterations_used();
   stats.achieved_outlier_fraction = model_->training_outlier_fraction();
-  stats.cache_hits = kernel_cache_.hits() - cache_hits_before;
-  stats.cache_misses = kernel_cache_.misses() - cache_misses_before;
   stats.learn_seconds = SecondsSince(learn_start);
   summary_.rounds.push_back(stats);
 
@@ -198,14 +171,6 @@ Status MilRfEngine::Learn() {
   return Status::OK();
 }
 
-double MilRfEngine::BagScore(const MilBag& bag) const {
-  double best = -1e18;
-  for (const auto& inst : bag.instances) {
-    best = std::max(best, model_->DecisionValue(inst.features));
-  }
-  return bag.empty() ? -1e18 : best;
-}
-
 std::vector<ScoredBag> MilRfEngine::Rank() const {
   MIVID_TRACE_SPAN("mil/rank");
   MIVID_SCOPED_TIMER("rank/seconds");
@@ -213,34 +178,18 @@ std::vector<ScoredBag> MilRfEngine::Rank() const {
   std::vector<ScoredBag> ranking;
   if (!model_) return ranking;
 
-  // Score every instance of every bag in one parallel batch, then take
-  // per-bag maxima (order-independent, so the ranking is identical at any
-  // thread count). The corpus's cached SoA lowering feeds the SIMD batch
-  // path directly; a corpus with mixed instance dimensions falls back to
-  // flattening Vec pointers (DecisionValues then evaluates pointwise).
+  // Score every instance of every bag in one parallel SIMD batch over the
+  // corpus's cached SoA lowering, then take per-bag maxima (order-
+  // independent, so the ranking is identical at any thread count).
   const std::vector<MilBag>& bags = dataset_->bags();
   const std::shared_ptr<const PackedCorpus> packed = dataset_->EnsurePacked();
-  std::vector<double> values;
-  const std::vector<size_t>* bag_begin = nullptr;
-  std::vector<size_t> fallback_begin;
-  if (packed->valid) {
-    values = model_->DecisionValues(packed->features);
-    bag_begin = &packed->bag_begin;
-  } else {
-    std::vector<const Vec*> instances;
-    fallback_begin.assign(1, 0);
-    for (const auto& bag : bags) {
-      for (const auto& inst : bag.instances) instances.push_back(&inst.features);
-      fallback_begin.push_back(instances.size());
-    }
-    values = model_->DecisionValues(instances);
-    bag_begin = &fallback_begin;
-  }
+  const std::vector<double> values = model_->DecisionValues(packed->features);
+  const std::vector<size_t>& bag_begin = packed->bag_begin;
 
   ranking.reserve(bags.size());
   for (size_t b = 0; b < bags.size(); ++b) {
     double best = -1e18;
-    for (size_t q = (*bag_begin)[b]; q < (*bag_begin)[b + 1]; ++q) {
+    for (size_t q = bag_begin[b]; q < bag_begin[b + 1]; ++q) {
       best = std::max(best, values[q]);
     }
     ranking.push_back({bags[b].id, best});
@@ -263,7 +212,7 @@ std::vector<ScoredBag> MilRfEngine::RankTopK(size_t k) const {
   const std::vector<MilBag>& bags = dataset_->bags();
   const std::shared_ptr<const PackedCorpus> packed = dataset_->EnsurePacked();
   const bool rbf = model_->kernel().type == KernelType::kRbf;
-  if (!rbf || !packed->valid || k >= bags.size()) {
+  if (!rbf || k >= bags.size()) {
     return RetrievalEngine::RankTopK(k);
   }
   MIVID_TRACE_SPAN("mil/rank_topk");

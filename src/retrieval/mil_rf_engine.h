@@ -19,7 +19,6 @@
 #include "mil/dataset.h"
 #include "retrieval/engine.h"
 #include "retrieval/heuristic.h"
-#include "svm/kernel_cache.h"
 #include "svm/one_class_svm.h"
 
 namespace mivid {
@@ -88,12 +87,9 @@ class MilRfEngine : public RetrievalEngine {
   /// Exact top-k: identical to truncating Rank(), but bags whose
   /// decision-value upper bound (partial kernel sum plus the remaining
   /// coefficient mass) provably falls below the current k-th score stop
-  /// early. RBF only — the bound needs K <= 1; other kernels and
-  /// unpackable corpora fall back to the full ranking.
+  /// early. RBF only — the bound needs K <= 1; other kernels fall back to
+  /// the full ranking.
   std::vector<ScoredBag> RankTopK(size_t k) const override;
-
-  /// Decision value of a single bag under the current model.
-  double BagScore(const MilBag& bag) const;
 
   /// The nu (delta) used by the last Learn() call.
   double last_nu() const { return last_nu_; }
@@ -102,19 +98,12 @@ class MilRfEngine : public RetrievalEngine {
     return model_ ? &*model_ : nullptr;
   }
 
-  /// Cross-round kernel cache statistics (RBF sessions only).
-  const KernelCache& kernel_cache() const { return kernel_cache_; }
-
   /// Per-round training stats plus ranking totals for this session.
   const RunSummary& run_summary() const override { return summary_; }
 
  private:
   MilRfOptions options_;
   std::optional<OneClassSvmModel> model_;
-  /// Pairwise-distance cache keyed by (bag_id, instance_id): feedback
-  /// rounds mostly retrain on the same instances, so the Gram blocks that
-  /// did not change between rounds are served from here.
-  KernelCache kernel_cache_;
   /// Mutable: Rank() is logically const but contributes timing totals.
   mutable RunSummary summary_;
   double last_nu_ = 0.0;

@@ -1,6 +1,7 @@
 #include "serve/corpus_manager.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/fault.h"
@@ -15,11 +16,14 @@ namespace mivid {
 namespace {
 
 /// Appends every bag of `from` into `to` (ids kept as stored — segment
-/// bag ids are already global).
-void AppendCorpusBags(const CameraCorpus& from, CameraCorpus* to) {
-  for (const MilBag& bag : from.dataset.bags()) to->dataset.AddBag(bag);
+/// bag ids are already global). Fails when the instance dimensions differ.
+Status AppendCorpusBags(const CameraCorpus& from, CameraCorpus* to) {
+  for (const MilBag& bag : from.dataset.bags()) {
+    MIVID_RETURN_IF_ERROR(to->dataset.AddBag(bag));
+  }
   to->bag_refs.insert(from.bag_refs.begin(), from.bag_refs.end());
   to->truth.insert(from.truth.begin(), from.truth.end());
+  return Status::OK();
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point t) {
@@ -151,7 +155,7 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
             auto merged = std::make_shared<CameraCorpus>();
             merged->camera_id = camera_id;
             for (const auto& part : parts) {
-              AppendCorpusBags(*part, merged.get());
+              MIVID_RETURN_IF_ERROR(AppendCorpusBags(*part, merged.get()));
             }
             corpus = merged;
           }
@@ -183,7 +187,7 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
     built->camera_id = camera_id;
     int next_bag_id = 0;
     if (corpus != nullptr) {
-      AppendCorpusBags(*corpus, built.get());
+      MIVID_RETURN_IF_ERROR(AppendCorpusBags(*corpus, built.get()));
       next_bag_id = NextBagId(*built);
       ++epoch_id;  // restored epoch + fresh clips = a new generation
     }
@@ -192,7 +196,7 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
     int delta_next = next_bag_id;
     MIVID_RETURN_IF_ERROR(
         engine.AppendClips(missing, query_, &delta, &delta_next));
-    AppendCorpusBags(delta, built.get());
+    MIVID_RETURN_IF_ERROR(AppendCorpusBags(delta, built.get()));
     corpus = built;
     out.included.insert(missing.begin(), missing.end());
 
@@ -316,8 +320,19 @@ Result<std::shared_ptr<const CorpusEpoch>> CorpusManager::Publish(
 
   auto merged = std::make_shared<CameraCorpus>();
   merged->camera_id = camera_id;
-  AppendCorpusBags(*base->corpus, merged.get());
-  AppendCorpusBags(delta, merged.get());
+  Status appended = AppendCorpusBags(*base->corpus, merged.get());
+  if (appended.ok()) appended = AppendCorpusBags(delta, merged.get());
+  if (!appended.ok()) {
+    // Put the clips back in front of the tail; the published epoch stays.
+    lock.lock();
+    CameraState& st = states_[camera_id];
+    st.tail.insert(st.tail.begin(), std::make_move_iterator(staged.begin()),
+                   std::make_move_iterator(staged.end()));
+    st.publishing = false;
+    lock.unlock();
+    changed_.notify_all();
+    return appended;
+  }
 
   auto epoch = std::make_shared<CorpusEpoch>();
   epoch->camera_id = camera_id;

@@ -125,6 +125,25 @@ std::vector<double> SquaredNorms(const std::vector<Vec>& points) {
   return norms;
 }
 
+Matrix PairwiseSquaredDistances(const std::vector<Vec>& points) {
+  const size_t n = points.size();
+  Matrix d2(n, n);
+  if (n == 0) return d2;
+  const PackedFeatureMatrix packed = PackedFeatureMatrix::FromVecs(points);
+  const double* norms = packed.squared_norms();
+  const SimdOpsTable& ops = SimdOps();
+  double* out = d2.data();
+  ParallelFor(n, kGramRowGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ops.expanded_d2_row(points[i].data(), norms[i], packed.dim(),
+                          packed.data() + i, packed.stride(), norms + i,
+                          n - i, out + i * n + i);
+    }
+  });
+  MirrorLowerTriangle(n, out);
+  return d2;
+}
+
 // Both constructors build the upper triangle with the SIMD row kernels
 // (row i covers columns [i, n) — each row is owned by exactly one
 // ParallelFor chunk, so there are no concurrent writes), then mirror in a

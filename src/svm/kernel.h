@@ -56,13 +56,21 @@ double KernelEval(const KernelParams& params, const Vec& u, const Vec& v);
 
 /// |u - v|^2 via the expansion |u|^2 + |v|^2 - 2 u.v given precomputed
 /// squared norms (clamped at 0 against cancellation). This is the one
-/// formula every Gram/cache path uses, so cached and uncached entries are
-/// bit-identical.
+/// formula every Gram path uses, so every squared-distance entry has the
+/// same bits whichever path built it.
 double ExpandedSquaredDistance(const Vec& u, double u_norm2, const Vec& v,
                                double v_norm2);
 
 /// Squared norms |p_i|^2 for every point (computed in parallel).
 std::vector<double> SquaredNorms(const std::vector<Vec>& points);
+
+/// The symmetric |points| x |points| matrix of expanded squared
+/// distances. Rows of the upper triangle are streamed through the SIMD
+/// expanded-distance primitive and mirrored, exactly as the RBF Gram is
+/// built, so GramMatrix(params, PairwiseSquaredDistances(points)) equals
+/// GramMatrix(params, points) bit for bit. The diagonal is exactly 0.
+/// All points must share one dimension.
+Matrix PairwiseSquaredDistances(const std::vector<Vec>& points);
 
 /// Precomputed symmetric kernel (Gram) matrix over a training set.
 ///
@@ -75,7 +83,7 @@ class GramMatrix {
   GramMatrix(const KernelParams& params, const std::vector<Vec>& points);
 
   /// RBF-only fast path: builds exp(-gamma * d2) from a precomputed
-  /// squared-distance matrix (e.g. a KernelCache product).
+  /// squared-distance matrix (PairwiseSquaredDistances).
   GramMatrix(const KernelParams& params, const Matrix& squared_distances);
 
   size_t size() const { return n_; }

@@ -40,17 +40,11 @@ class OneClassSvmModel {
   /// Positive inside the learned support region.
   double DecisionValue(const Vec& x) const;
 
-  /// Decision values for a batch of points, evaluated in parallel.
-  /// Each value is computed exactly as DecisionValue would (same
-  /// accumulation order), so results are thread-count independent.
-  /// Uniform-dimension batches are packed and routed through the SIMD
-  /// batch path below; mixed dimensions fall back to pointwise Eval.
-  std::vector<double> DecisionValues(const std::vector<const Vec*>& xs) const;
-
-  /// SIMD batch path over an already-packed SoA point block (one support
-  /// vector streamed across all points per pass). Bit-identical to
-  /// calling DecisionValue on each point. `xs.dim()` must match the
-  /// support vectors' dimension.
+  /// Decision values for a packed SoA point block, evaluated in parallel
+  /// by the SIMD row primitives (one support vector streamed across all
+  /// points per pass). Bit-identical to calling DecisionValue on each
+  /// point at any thread count. `xs.dim()` must match the support
+  /// vectors' dimension.
   std::vector<double> DecisionValues(const PackedFeatureMatrix& xs) const;
 
   /// Hard membership: DecisionValue(x) >= 0.
@@ -92,8 +86,9 @@ class OneClassSvmTrainer {
   Result<OneClassSvmModel> Train(const std::vector<Vec>& points) const;
 
   /// Same, but reuses a precomputed Gram matrix over `points` (e.g. built
-  /// through a KernelCache). `gram.size()` must equal `points.size()` and
-  /// `gram` must have been built with this trainer's kernel params.
+  /// from PairwiseSquaredDistances). `gram.size()` must equal
+  /// `points.size()` and `gram` must have been built with this trainer's
+  /// kernel params.
   Result<OneClassSvmModel> Train(const std::vector<Vec>& points,
                                  const GramMatrix& gram) const;
 

@@ -9,7 +9,7 @@
 #include "common/thread_pool.h"
 #include "eval/experiment.h"
 #include "retrieval/heuristic.h"
-#include "svm/kernel_cache.h"
+#include "svm/kernel.h"
 #include "svm/one_class_svm.h"
 #include "trafficsim/scenarios.h"
 
@@ -57,28 +57,31 @@ TEST(DeterminismTest, GramMatrixBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(DeterminismTest, CachedGramMatchesUncached) {
+TEST(DeterminismTest, DistanceGramMatchesDirectGram) {
+  // MilRfEngine::Learn builds its Gram from PairwiseSquaredDistances (the
+  // distances also feed the bandwidth heuristic); it must carry the bits
+  // of the Gram built straight from the points, at any thread count.
   const auto points = RandomPoints(48, 9, 21);
-  std::vector<InstanceKey> ids(points.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = {static_cast<int>(i / 4), static_cast<int>(i % 4)};
-  }
   KernelParams params;  // RBF
-  const GramMatrix uncached(params, points);
-
-  KernelCache cache;
-  // Two passes: the second is served entirely from the cache.
-  (void)cache.PairwiseSquaredDistances(points, ids);
-  const Matrix d2 = cache.PairwiseSquaredDistances(points, ids);
-  EXPECT_GT(cache.hits(), 0u);
-  const GramMatrix cached(params, d2);
-
-  ASSERT_EQ(cached.size(), uncached.size());
-  for (size_t i = 0; i < cached.size(); ++i) {
-    for (size_t j = 0; j < cached.size(); ++j) {
-      EXPECT_EQ(cached.At(i, j), uncached.At(i, j)) << i << "," << j;
+  auto build = [&] {
+    const Matrix d2 = PairwiseSquaredDistances(points);
+    EXPECT_EQ(d2.rows(), points.size());
+    const GramMatrix from_d2(params, d2);
+    const GramMatrix direct(params, points);
+    std::vector<double> flat;
+    for (size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(d2.At(i, i), 0.0);
+      for (size_t j = 0; j < direct.size(); ++j) {
+        EXPECT_EQ(d2.At(i, j), d2.At(j, i)) << i << "," << j;
+        EXPECT_EQ(from_d2.At(i, j), direct.At(i, j)) << i << "," << j;
+        flat.push_back(d2.At(i, j));
+      }
     }
-  }
+    return flat;
+  };
+  std::vector<double> serial, parallel;
+  AtThreadCounts(build, &serial, &parallel);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(DeterminismTest, OneClassSvmTrainingIdenticalAcrossThreadCounts) {
@@ -157,32 +160,6 @@ TEST(DeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.top20, parallel.top20);
   ASSERT_FALSE(serial.curves.empty());
   ASSERT_FALSE(serial.top20.empty());
-}
-
-TEST(DeterminismTest, KernelCacheAccumulatesAcrossRounds) {
-  // Feedback rounds grow the training set; previously seen pairs must be
-  // cache hits and the resulting model must not depend on cache history.
-  const auto points = RandomPoints(30, 6, 55);
-  std::vector<InstanceKey> ids(points.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = {static_cast<int>(i), 0};
-  }
-  KernelCache cache;
-  std::vector<Vec> round1(points.begin(), points.begin() + 20);
-  std::vector<InstanceKey> ids1(ids.begin(), ids.begin() + 20);
-  (void)cache.PairwiseSquaredDistances(round1, ids1);
-  const uint64_t misses_after_round1 = cache.misses();
-  EXPECT_EQ(misses_after_round1, 20u * 19u / 2u);
-
-  const Matrix d2 = cache.PairwiseSquaredDistances(points, ids);
-  // Round 2 adds 10 instances: only pairs touching them are new.
-  EXPECT_EQ(cache.misses() - misses_after_round1,
-            30u * 29u / 2u - 20u * 19u / 2u);
-  EXPECT_EQ(cache.hits(), 20u * 19u / 2u);
-
-  KernelCache fresh;
-  const Matrix d2_fresh = fresh.PairwiseSquaredDistances(points, ids);
-  EXPECT_EQ(d2.MaxAbsDiff(d2_fresh), 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Golden tests for the paper's Fig. 8 (tunnel) and Fig. 9 (intersection)
 // experiments on the vision path: render -> background + SPCPE -> track
-// -> windows -> MIL / Weighted_RF feedback rounds.
+// -> windows -> MIL / Weighted_RF feedback rounds; and on the simulator's
+// ground-truth tracks (a perfect tracker), which isolates the retrieval
+// half: features -> windows -> One-class SVM training and ranking.
 //
 // Two tiers. The exact values are deterministic at every thread count;
 // change them only together with EXPERIMENTS.md, in a reviewed diff that
@@ -87,6 +89,33 @@ TEST(GoldenCurvesTest, Fig9IntersectionVisionPath) {
                        {113, 436,
                         {0.55, 0.80, 0.85, 0.85, 0.85},
                         {0.55, 0.40, 0.40, 0.40, 0.40}},
+                       /*weighted_drops=*/true);
+}
+
+TEST(GoldenCurvesTest, Fig8TunnelGroundTruthTracks) {
+  ExperimentOptions options;
+  options.pipeline = PipelineMode::kGroundTruthTracks;
+  Result<ExperimentResult> result =
+      RunRfExperiment(MakeTunnelScenario(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectGoldenAndShape(result.value(),
+                       {74, 74,
+                        {0.60, 0.75, 0.75, 0.75, 0.75},
+                        {0.60, 0.35, 0.35, 0.35, 0.35}},
+                       /*weighted_drops=*/false);
+}
+
+TEST(GoldenCurvesTest, Fig9IntersectionGroundTruthTracks) {
+  ExperimentOptions options;
+  options.pipeline = PipelineMode::kGroundTruthTracks;
+  options.windows.stride = 1;
+  Result<ExperimentResult> result =
+      RunRfExperiment(MakeIntersectionScenario(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectGoldenAndShape(result.value(),
+                       {113, 490,
+                        {0.75, 0.80, 0.85, 0.85, 0.85},
+                        {0.75, 0.30, 0.35, 0.35, 0.35}},
                        /*weighted_drops=*/true);
 }
 

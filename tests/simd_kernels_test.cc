@@ -10,16 +10,21 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "db/codec.h"
+#include "db/feature_store.h"
 #include "db/packed_corpus_io.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/simd.h"
 #include "mil/dataset.h"
+#include "mil/diverse_density.h"
 #include "mil/packed_corpus.h"
 #include "retrieval/mil_rf_engine.h"
 
@@ -323,8 +328,13 @@ TEST(PackedMatrixTest, LayoutNormsAndRoundTrip) {
   }
 }
 
-TEST(PackedCorpusTest, BagOffsetsAndMixedDimFallback) {
+TEST(PackedCorpusTest, BagOffsetsAndMismatchedDimRejected) {
   MilDataset ds;
+  // An empty bag fixes no dimension.
+  MilBag empty;
+  empty.id = 9;
+  ASSERT_TRUE(ds.AddBag(std::move(empty)).ok());
+  EXPECT_EQ(ds.dim(), 0u);
   for (int b = 0; b < 3; ++b) {
     MilBag bag;
     bag.id = b;
@@ -336,24 +346,31 @@ TEST(PackedCorpusTest, BagOffsetsAndMixedDimFallback) {
       inst.raw_features = inst.features;
       bag.instances.push_back(std::move(inst));
     }
-    ds.AddBag(std::move(bag));
+    ASSERT_TRUE(ds.AddBag(std::move(bag)).ok());
   }
+  EXPECT_EQ(ds.dim(), 3u);
   const auto packed = ds.EnsurePacked();
-  ASSERT_TRUE(packed->valid);
   EXPECT_EQ(packed->features.n(), 6u);
-  EXPECT_EQ(packed->bag_begin, (std::vector<size_t>{0, 1, 3, 6}));
+  EXPECT_EQ(packed->features.dim(), 3u);
+  EXPECT_EQ(packed->bag_begin, (std::vector<size_t>{0, 0, 1, 3, 6}));
   // The cache is shared until the corpus changes.
   EXPECT_EQ(ds.EnsurePacked().get(), packed.get());
 
+  // A bag of another dimension (even behind a matching instance) is
+  // rejected whole; the dataset and its packing stay as they were.
   MilBag odd;
   odd.id = 3;
-  MilInstance inst;
-  inst.features = {1.0, 2.0};  // different dimension
-  odd.instances.push_back(std::move(inst));
-  ds.AddBag(std::move(odd));
-  const auto repacked = ds.EnsurePacked();
-  EXPECT_NE(repacked.get(), packed.get());
-  EXPECT_FALSE(repacked->valid);
+  MilInstance same;
+  same.features = {1.0, 2.0, 3.0};
+  odd.instances.push_back(same);
+  MilInstance other;
+  other.features = {1.0, 2.0};
+  odd.instances.push_back(other);
+  EXPECT_TRUE(ds.AddBag(std::move(odd)).IsInvalidArgument());
+  EXPECT_EQ(ds.size(), 4u);
+  EXPECT_EQ(ds.TotalInstances(), 6u);
+  EXPECT_EQ(ds.dim(), 3u);
+  EXPECT_EQ(ds.EnsurePacked().get(), packed.get());
 }
 
 /// Synthetic labeled corpus with planted "incident" bags (mirrors the
@@ -474,9 +491,8 @@ TEST(PackedCorpusIoTest, SnapshotRoundTripsAndIsAdoptedZeroCopy) {
   // The restored dataset already carries the mapped packing, and it is
   // bit-identical to packing the restored bags from scratch.
   const auto adopted = got.dataset.EnsurePacked();
-  ASSERT_TRUE(adopted->valid);
   const auto rebuilt = BuildPackedCorpus(got.dataset.bags());
-  ASSERT_TRUE(rebuilt->valid);
+  ASSERT_EQ(adopted->features.dim(), rebuilt->features.dim());
   ASSERT_EQ(adopted->features.n(), rebuilt->features.n());
   EXPECT_EQ(adopted->bag_begin, rebuilt->bag_begin);
   for (size_t k = 0; k < adopted->features.dim(); ++k) {
@@ -501,6 +517,155 @@ TEST(PackedCorpusIoTest, SnapshotRoundTripsAndIsAdoptedZeroCopy) {
     bytes[4096 + 8] ^= 0x40;
     ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
     EXPECT_FALSE(ReadPackedCorpusFile(path, query).ok());
+  }
+  fs::remove_all(dir);
+}
+
+/// MakeCorpus behind an empty bag (added first) and with at least one
+/// single-instance bag: the packed offsets' edge cases.
+MilDataset MakeRankingCorpus() {
+  MilDataset ds;
+  MilBag empty;
+  empty.id = 1000;
+  EXPECT_TRUE(ds.AddBag(std::move(empty)).ok());
+  const MilDataset planted = MakeCorpus(40, {3, 11, 29}, 2718);
+  bool single = false;
+  for (const MilBag& bag : planted.bags()) {
+    single = single || bag.instances.size() == 1;
+    EXPECT_TRUE(ds.AddBag(bag).ok());
+  }
+  EXPECT_TRUE(single);
+  EXPECT_TRUE(ds.SetLabel(3, BagLabel::kRelevant).ok());
+  EXPECT_TRUE(ds.SetLabel(11, BagLabel::kRelevant).ok());
+  EXPECT_TRUE(ds.SetLabel(5, BagLabel::kIrrelevant).ok());
+  return ds;
+}
+
+/// Checks `ranking` against per-bag reference scores bit for bit, and its
+/// order against (score desc, bag id asc).
+void ExpectRankingMatches(const std::vector<ScoredBag>& ranking,
+                          const MilDataset& ds,
+                          const std::function<double(const MilBag&)>& ref) {
+  ASSERT_EQ(ranking.size(), ds.size());
+  for (const ScoredBag& sb : ranking) {
+    const MilBag* bag = ds.FindBag(sb.bag_id);
+    ASSERT_NE(bag, nullptr);
+    EXPECT_EQ(sb.score, ref(*bag)) << "bag " << sb.bag_id;
+  }
+  for (size_t i = 1; i < ranking.size(); ++i) {
+    EXPECT_TRUE(ranking[i - 1].score > ranking[i].score ||
+                (ranking[i - 1].score == ranking[i].score &&
+                 ranking[i - 1].bag_id < ranking[i].bag_id))
+        << i;
+  }
+}
+
+/// Scalar, then AVX2 when the host has it.
+std::vector<int> AvailableTiers() {
+  std::vector<int> tiers{static_cast<int>(SimdTier::kScalar)};
+  if (Avx2Available()) tiers.push_back(static_cast<int>(SimdTier::kAvx2));
+  return tiers;
+}
+
+TEST(PackedRankingTest, MilRfRankEqualsPerVecDecisionValues) {
+  TierGuard guard;
+  for (const int tier : AvailableTiers()) {
+    SCOPED_TRACE(tier);
+    SetSimdTier(tier);
+    MilDataset ds = MakeRankingCorpus();
+    MilRfEngine engine(&ds, MilRfOptions{});
+    ASSERT_TRUE(engine.Learn().ok());
+    const OneClassSvmModel& model = *engine.model();
+    ExpectRankingMatches(engine.Rank(), ds, [&](const MilBag& bag) {
+      double best = -1e18;
+      for (const MilInstance& inst : bag.instances) {
+        best = std::max(best, model.DecisionValue(inst.features));
+      }
+      return best;
+    });
+  }
+}
+
+TEST(PackedRankingTest, DiverseDensityRankEqualsPerVecLikelihoods) {
+  TierGuard guard;
+  for (const int tier : AvailableTiers()) {
+    SCOPED_TRACE(tier);
+    SetSimdTier(tier);
+    const MilDataset ds = MakeRankingCorpus();
+    DiverseDensityOptions options;
+    options.max_starts = 4;
+    DiverseDensityEngine engine(&ds, options);
+    ASSERT_TRUE(engine.Learn().ok());
+    const Vec& concept_point = engine.concept_point();
+    const double gamma = 1.0 / (options.scale * options.scale);
+    ExpectRankingMatches(engine.Rank(), ds, [&](const MilBag& bag) {
+      double best = 0.0;
+      for (const MilInstance& inst : bag.instances) {
+        best = std::max(
+            best,
+            DetExp(-(gamma * SquaredDistance(inst.features, concept_point))));
+      }
+      return best;
+    });
+  }
+}
+
+TEST(PackedCorpusIoTest, CraftedHeaderIsCorruption) {
+  const std::string dir =
+      (fs::temp_directory_path() / "mivid_packed_corpus_crafted").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/cam-1.mivpack";
+
+  // A valid one-instance snapshot (dim = 3 checkpoints x 3 features).
+  CameraCorpus corpus;
+  corpus.camera_id = "cam-1";
+  MilBag bag;
+  bag.id = 0;
+  MilInstance inst;
+  inst.features.assign(9, 0.25);
+  inst.raw_features = inst.features;
+  bag.instances.push_back(inst);
+  ASSERT_TRUE(corpus.dataset.AddBag(std::move(bag)).ok());
+  QueryOptions query;
+  ASSERT_TRUE(WritePackedCorpusFile(corpus, path, query).ok());
+  std::string original;
+  {
+    auto r = ReadFileToString(path);
+    ASSERT_TRUE(r.ok());
+    original = std::move(r).value();
+  }
+  ASSERT_TRUE(ReadPackedCorpusFile(path, query).ok());
+
+  // Rewrites header fields (offset, value), keeping the header CRC valid,
+  // so only the layout checks stand between the values and the loader.
+  using Fields = std::vector<std::pair<size_t, uint64_t>>;
+  auto with_fields = [&](const Fields& fields) {
+    std::string bytes = original;
+    for (const auto& [offset, value] : fields) {
+      std::string field;
+      PutFixed64(&field, value);
+      bytes.replace(offset, 8, field);
+    }
+    std::string crc;
+    PutFixed32(&crc, Crc32c(std::string_view(bytes.data(), 88)));
+    bytes.replace(88, 4, crc);
+    return bytes;
+  };
+  constexpr size_t kN = 24, kDim = 32, kStride = 40, kFeatureBytes = 56;
+  // dim = 9 + 2^58: dim * stride * 8 wraps to the stored 576 bytes.
+  const uint64_t wrapping = 9 + (uint64_t{1} << 58);
+  ASSERT_EQ(wrapping * 8 * sizeof(double), 576u);
+  const uint64_t max = ~uint64_t{0};
+  for (const Fields& fields :
+       {Fields{{kDim, wrapping}}, Fields{{kDim, 12}}, Fields{{kDim, 0}},
+        // n = 2^64 - 1: its padded stride wraps to 0, and so do the bytes.
+        Fields{{kN, max}, {kStride, 0}, {kFeatureBytes, 0}}}) {
+    SCOPED_TRACE(fields.front().second);
+    ASSERT_TRUE(WriteFileAtomic(path, with_fields(fields)).ok());
+    auto loaded = ReadPackedCorpusFile(path, query);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   }
   fs::remove_all(dir);
 }
