@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/rng.h"
@@ -19,6 +20,7 @@
 #include "obs/metrics.h"
 #include "retrieval/mil_rf_engine.h"
 #include "segment/segmenter.h"
+#include "segment/spcpe.h"
 #include "serve/server.h"
 #include "svm/one_class_svm.h"
 #include "track/assignment.h"
@@ -240,6 +242,102 @@ BENCHMARK_CAPTURE(BM_BoxMullerRow, scalar, SimdTier::kScalar)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_BoxMullerRow, avx2, SimdTier::kAvx2)
     ->Unit(benchmark::kMicrosecond);
+
+/// The renderer's quantize pass on its own: one tunnel frame's 38,400
+/// noise pairs under a pinned tier.
+void BM_QuantizeNoisyPairs(benchmark::State& state, SimdTier tier) {
+  if (tier == SimdTier::kAvx2 && !Avx2Available()) {
+    state.SkipWithError("avx2 unavailable");
+    return;
+  }
+  SetSimdTier(static_cast<int>(tier));
+  constexpr size_t kPairs = 38400;
+  const Renderer renderer(MakeTunnelLayout());
+  const Frame& background = renderer.background();
+  std::vector<double> u1(kPairs), u2(kPairs), g_cos(kPairs), g_sin(kPairs);
+  Rng(3).BoxMullerUniforms(kPairs, u1.data(), u2.data());
+  SimdOps().box_muller_row(u1.data(), u2.data(), kPairs, g_cos.data(),
+                           g_sin.data());
+  std::vector<uint8_t> bytes(2 * kPairs);
+  std::vector<uint32_t> flagged(kPairs);
+  const SimdOpsTable& ops = SimdOps();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops.quantize_noisy_pairs(
+        background.pixels().data(), g_cos.data(), g_sin.data(), kPairs, 0.0,
+        6.0, 0.5 - 1e-11, bytes.data(), flagged.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kPairs));
+  SetSimdTier(-1);
+}
+BENCHMARK_CAPTURE(BM_QuantizeNoisyPairs, scalar, SimdTier::kScalar)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QuantizeNoisyPairs, avx2, SimdTier::kAvx2)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The background model's post-warmup pass on its own: one tunnel frame
+/// through the selective-mean update, mask and sum, in the 4096-pixel
+/// stripes UpdateBatch uses, under a pinned tier.
+void BM_SelectiveMeanStripe(benchmark::State& state, SimdTier tier) {
+  if (tier == SimdTier::kAvx2 && !Avx2Available()) {
+    state.SkipWithError("avx2 unavailable");
+    return;
+  }
+  SetSimdTier(static_cast<int>(tier));
+  Renderer renderer(MakeTunnelLayout());
+  const Frame frame = renderer.Render(TwoVehicles(0));
+  const Frame& background = renderer.background();
+  std::vector<double> mean(background.pixels().begin(),
+                           background.pixels().end());
+  Mask mask(frame.size());
+  const SimdOpsTable& ops = SimdOps();
+  constexpr size_t kStripe = 4096;
+  for (auto _ : state) {
+    uint32_t sum = 0;
+    for (size_t begin = 0; begin < frame.size(); begin += kStripe) {
+      sum += ops.selective_mean_stripe(
+          frame.pixels().data() + begin,
+          std::min(kStripe, frame.size() - begin), 0.02, 18.0, true,
+          mean.data() + begin, mask.data() + begin);
+    }
+    benchmark::DoNotOptimize(sum);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frame.size()));
+  SetSimdTier(-1);
+}
+BENCHMARK_CAPTURE(BM_SelectiveMeanStripe, scalar, SimdTier::kScalar)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SelectiveMeanStripe, avx2, SimdTier::kAvx2)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Connected components of one refined tunnel mask (two vehicles).
+void BM_ExtractBlobs(benchmark::State& state) {
+  Renderer renderer(MakeTunnelLayout());
+  VehicleSegmenter segmenter;
+  for (int f = 0; f < 15; ++f) (void)segmenter.Ingest(renderer.Render({}));
+  const PendingSegmentation pending =
+      segmenter.Ingest(renderer.Render(TwoVehicles(100)));
+  const SegmenterOptions& options = segmenter.options();
+  Mask mask = pending.background.mask;
+  mask = RunSpcpe(pending.frame, &mask, pending.background.bg_mean,
+                  options.spcpe)
+             .partition;
+  mask = CleanMask(mask, pending.frame.width(), pending.frame.height(),
+                   options.clean_iterations);
+  size_t blobs = 0;
+  for (auto _ : state) {
+    const std::vector<Blob> found =
+        ExtractBlobs(mask, pending.frame, options.blob);
+    blobs = found.size();
+    benchmark::DoNotOptimize(found.data());
+  }
+  state.counters["blobs"] = static_cast<double>(blobs);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(mask.size()));
+}
+BENCHMARK(BM_ExtractBlobs)->Unit(benchmark::kMicrosecond);
 
 void BM_BackgroundIngestBatch(benchmark::State& state) {
   // One VisionTracks batch through the stripe-parallel background update

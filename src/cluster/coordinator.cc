@@ -421,6 +421,13 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
       if (worker != nullptr &&
           worker->alive.load(std::memory_order_acquire)) {
         live.push_back(worker);
+      } else {
+        // A concurrent request marked it dead and takes it off the ring
+        // only after its own call returns. Take it off now, or the
+        // placement below can hand this camera straight back to it and
+        // find no owner left to fail over to.
+        std::lock_guard<std::mutex> lock(ring_mu_);
+        ring_.Remove(endpoint);
       }
     }
     if (prefer_fastest && live.size() > 1) {

@@ -1,7 +1,10 @@
-// Runtime-dispatched SIMD row primitives for the Gram/SMO/ranking core.
+// Runtime-dispatched SIMD row primitives for the Gram/SMO/ranking core
+// and for the per-pixel passes of the vision front end.
 //
 // Every numeric hot path (squared-distance rows, RBF kernel rows, the SMO
-// axpy updates) funnels through the function table returned by SimdOps().
+// axpy updates, and the pixel kernels: render-noise Box-Muller and
+// quantization, the selective-mean background stripe) funnels through the
+// function table returned by SimdOps().
 // Two tiers exist: a portable scalar tier and an AVX2 tier, selected once
 // at runtime via CPUID (or forced with the MIVID_SIMD environment
 // variable / SetSimdTier, which tests use to pin a tier).
@@ -21,6 +24,9 @@
 //    across tiers, which libm's exp is not once vectorized.
 //  * box_muller_row follows the same pattern for log/sqrt/sin/cos (see
 //    box_muller_constants.h).
+//  * Pixel kernels convert bytes to doubles exactly, replace branches by
+//    blends of both outcomes, and truncate to bytes the way the scalar
+//    casts do, so every output byte and every double matches.
 //
 // The SoA operand layout ("X[k * stride + j] = feature k of point j") is
 // produced by PackedFeatureMatrix (packed_matrix.h); u operands are plain
@@ -30,6 +36,7 @@
 #define MIVID_LINALG_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace mivid {
 
@@ -84,6 +91,27 @@ struct SimdOpsTable {
   /// u1 in [1e-300, 1] and u2 in [0, 1). No libm calls.
   void (*box_muller_row)(const double* u1, const double* u2, size_t count,
                          double* g_cos, double* g_sin);
+  /// Render-noise quantization of `count` pixel pairs: pixel 2i takes
+  /// g_cos[i] and pixel 2i+1 g_sin[i] as
+  ///   w = min(max((p + illumination) + (0.0 + stddev * g), 0.5), 255.5),
+  ///   bytes[.] = uint8(w).
+  /// A pair is flagged when either of its w has |w - trunc(w) - 1/2| > far
+  /// (lies within 1/2 - far of a byte boundary). Writes the indices of the
+  /// n flagged pairs, ascending, to flagged[0, n) (room for `count`) and
+  /// returns n.
+  size_t (*quantize_noisy_pairs)(const uint8_t* pixels, const double* g_cos,
+                                 const double* g_sin, size_t count,
+                                 double illumination, double stddev,
+                                 double far, uint8_t* bytes,
+                                 uint32_t* flagged);
+  /// One frame's pass over `count` (< 2^24) pixels of a selective-mean
+  /// background. When `update`, mean[i] = (1 - a) * mean[i] + a * px[i]
+  /// wherever |px[i] - mean[i]| < threshold. Then, when `mask` is non-null,
+  /// mask[i] = |px[i] - mean[i]| >= threshold and the result is the sum of
+  /// uint8(clamp(mean[i], 0, 255)); otherwise the result is 0.
+  uint32_t (*selective_mean_stripe)(const uint8_t* px, size_t count, double a,
+                                    double threshold, bool update,
+                                    double* mean, uint8_t* mask);
 };
 
 /// Bound on |box_muller_row - Rng::BoxMullerPair| per value. The

@@ -20,6 +20,8 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "linalg/box_muller_constants.h"
 #include "linalg/det_exp_constants.h"
@@ -353,13 +355,141 @@ void BoxMullerRow(const double* u1, const double* u2, size_t count,
   }
 }
 
+/// Four bytes widened exactly to doubles.
+inline __m256d BytesToDoubles(__m128i bytes) {
+  return _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(bytes));
+}
+
+/// std::min(std::max(v, lo), hi) lane by lane: maxpd/minpd return their
+/// second operand when the first comparison fails, as the scalar forms do.
+inline __m256d Clamp4(__m256d v, __m256d lo, __m256d hi) {
+  return _mm256_min_pd(hi, _mm256_max_pd(lo, v));
+}
+
+/// |v| by clearing the sign bit, as std::fabs.
+inline __m256d Abs4(__m256d v) {
+  return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+}
+
+/// Byte 0/1 flags for a 4-bit lane mask, little-endian.
+constexpr uint32_t kLaneFlagBytes[16] = {
+    0x00000000, 0x00000001, 0x00000100, 0x00000101, 0x00010000, 0x00010001,
+    0x00010100, 0x00010101, 0x01000000, 0x01000001, 0x01000100, 0x01000101,
+    0x01010000, 0x01010001, 0x01010100, 0x01010101,
+};
+
+size_t QuantizeNoisyPairs(const uint8_t* pixels, const double* g_cos,
+                          const double* g_sin, size_t count,
+                          double illumination, double stddev, double far,
+                          uint8_t* bytes, uint32_t* flagged) {
+  const __m256d illum = _mm256_set1_pd(illumination);
+  const __m256d sd = _mm256_set1_pd(stddev);
+  const __m256d vfar = _mm256_set1_pd(far);
+  const __m256d lo = _mm256_set1_pd(0.5);
+  const __m256d hi = _mm256_set1_pd(255.5);
+  const __m256d zero = _mm256_setzero_pd();
+  // Even bytes (the cos pixels) to bytes 0-7, odd (the sin pixels) to 8-15.
+  const __m128i split =
+      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+  auto noisy = [&](__m128i p, const double* g) {
+    const __m256d v = _mm256_add_pd(
+        _mm256_add_pd(BytesToDoubles(p), illum),
+        _mm256_add_pd(zero, _mm256_mul_pd(sd, _mm256_loadu_pd(g))));
+    return Clamp4(v, lo, hi);
+  };
+  auto near = [&](__m256d w0, __m256d w1) {
+    auto one = [&](__m256d w) {
+      const __m256d whole = _mm256_round_pd(w, _MM_FROUND_TO_ZERO);
+      return _mm256_cmp_pd(Abs4(_mm256_sub_pd(_mm256_sub_pd(w, whole), lo)),
+                           vfar, _CMP_GT_OQ);
+    };
+    return _mm256_movemask_pd(_mm256_or_pd(one(w0), one(w1)));
+  };
+  // Truncates the values of four pairs and interleaves them back into
+  // pixel order as int16 (every value is in [0, 255], so packs are exact).
+  auto words = [](__m256d cos4, __m256d sin4) {
+    const __m128i c = _mm256_cvttpd_epi32(cos4);
+    const __m128i s = _mm256_cvttpd_epi32(sin4);
+    return _mm_packs_epi32(_mm_unpacklo_epi32(c, s),
+                           _mm_unpackhi_epi32(c, s));
+  };
+  size_t n = 0;
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m128i p = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pixels + 2 * i)),
+        split);
+    const __m256d c0 = noisy(p, g_cos + i);
+    const __m256d c1 = noisy(_mm_srli_si128(p, 4), g_cos + i + 4);
+    const __m256d s0 = noisy(_mm_srli_si128(p, 8), g_sin + i);
+    const __m256d s1 = noisy(_mm_srli_si128(p, 12), g_sin + i + 4);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(bytes + 2 * i),
+                     _mm_packus_epi16(words(c0, s0), words(c1, s1)));
+    for (int bits = near(c0, s0) | near(c1, s1) << 4; bits != 0;
+         bits &= bits - 1) {
+      flagged[n++] = static_cast<uint32_t>(i) + __builtin_ctz(bits);
+    }
+  }
+  if (i < count) {
+    const size_t tail = simd_internal::kScalarOps.quantize_noisy_pairs(
+        pixels + 2 * i, g_cos + i, g_sin + i, count - i, illumination, stddev,
+        far, bytes + 2 * i, flagged + n);
+    for (size_t k = n; k < n + tail; ++k) flagged[k] += static_cast<uint32_t>(i);
+    n += tail;
+  }
+  return n;
+}
+
+uint32_t SelectiveMeanStripe(const uint8_t* px, size_t count, double a,
+                             double threshold, bool update, double* mean,
+                             uint8_t* mask) {
+  if (!update && mask == nullptr) return 0;
+  const __m256d keep = _mm256_set1_pd(1.0 - a);
+  const __m256d va = _mm256_set1_pd(a);
+  const __m256d thr = _mm256_set1_pd(threshold);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d top = _mm256_set1_pd(255.0);
+  __m128i sums = _mm_setzero_si128();
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    int32_t raw;
+    std::memcpy(&raw, px + i, 4);
+    const __m256d p = BytesToDoubles(_mm_cvtsi32_si128(raw));
+    __m256d m = _mm256_loadu_pd(mean + i);
+    if (update) {
+      const __m256d adapt =
+          _mm256_cmp_pd(Abs4(_mm256_sub_pd(p, m)), thr, _CMP_LT_OQ);
+      m = _mm256_blendv_pd(
+          m, _mm256_add_pd(_mm256_mul_pd(keep, m), _mm256_mul_pd(va, p)),
+          adapt);
+      _mm256_storeu_pd(mean + i, m);
+    }
+    if (mask != nullptr) {
+      const int fg = _mm256_movemask_pd(
+          _mm256_cmp_pd(Abs4(_mm256_sub_pd(p, m)), thr, _CMP_GE_OQ));
+      std::memcpy(mask + i, &kLaneFlagBytes[fg], 4);
+      sums = _mm_add_epi32(sums, _mm256_cvttpd_epi32(Clamp4(m, zero, top)));
+    }
+  }
+  sums = _mm_add_epi32(sums, _mm_srli_si128(sums, 8));
+  sums = _mm_add_epi32(sums, _mm_srli_si128(sums, 4));
+  uint32_t sum = static_cast<uint32_t>(_mm_cvtsi128_si32(sums));
+  if (i < count) {
+    sum += simd_internal::kScalarOps.selective_mean_stripe(
+        px + i, count - i, a, threshold, update, mean + i,
+        mask == nullptr ? nullptr : mask + i);
+  }
+  return sum;
+}
+
 }  // namespace
 
 namespace simd_internal {
 
 const SimdOpsTable kAvx2Ops = {
-    ExpandedD2Row, DirectD2Row, DotRow,       Axpy,
-    AxpyDiff,      RbfFromD2Row, BoxMullerRow,
+    ExpandedD2Row, DirectD2Row,  DotRow,
+    Axpy,          AxpyDiff,     RbfFromD2Row,
+    BoxMullerRow,  QuantizeNoisyPairs, SelectiveMeanStripe,
 };
 
 }  // namespace simd_internal

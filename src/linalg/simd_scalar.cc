@@ -7,6 +7,7 @@
 // default — contraction would silently change roundings and break the
 // scalar-vs-AVX2 bit-identity contract.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -123,6 +124,48 @@ void BoxMullerRow(const double* u1, const double* u2, size_t count,
   }
 }
 
+size_t QuantizeNoisyPairs(const uint8_t* pixels, const double* g_cos,
+                          const double* g_sin, size_t count,
+                          double illumination, double stddev, double far,
+                          uint8_t* bytes, uint32_t* flagged) {
+  size_t n = 0;
+  for (size_t i = 0; i < count; ++i) {
+    double w0 = static_cast<double>(pixels[2 * i]) + illumination;
+    w0 += 0.0 + stddev * g_cos[i];
+    w0 = std::min(std::max(w0, 0.5), 255.5);
+    double w1 = static_cast<double>(pixels[2 * i + 1]) + illumination;
+    w1 += 0.0 + stddev * g_sin[i];
+    w1 = std::min(std::max(w1, 0.5), 255.5);
+    const int b0 = static_cast<int>(w0);
+    const int b1 = static_cast<int>(w1);
+    bytes[2 * i] = static_cast<uint8_t>(b0);
+    bytes[2 * i + 1] = static_cast<uint8_t>(b1);
+    // Branch-free: always write the index, keep it only when flagged.
+    flagged[n] = static_cast<uint32_t>(i);
+    n += (std::fabs(w0 - b0 - 0.5) > far) | (std::fabs(w1 - b1 - 0.5) > far);
+  }
+  return n;
+}
+
+uint32_t SelectiveMeanStripe(const uint8_t* px, size_t count, double a,
+                             double threshold, bool update, double* mean,
+                             uint8_t* mask) {
+  if (update) {
+    for (size_t i = 0; i < count; ++i) {
+      if (std::fabs(px[i] - mean[i]) < threshold) {
+        mean[i] = (1.0 - a) * mean[i] + a * px[i];
+      }
+    }
+  }
+  if (mask == nullptr) return 0;
+  uint32_t sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    mask[i] = std::fabs(px[i] - mean[i]) >= threshold;
+    sum += static_cast<uint8_t>(std::clamp(mean[i], 0.0, 255.0));
+  }
+  return sum;
+}
+
 }  // namespace
 
 double DetExp(double x) { return DetExpImpl(x); }
@@ -130,8 +173,9 @@ double DetExp(double x) { return DetExpImpl(x); }
 namespace simd_internal {
 
 const SimdOpsTable kScalarOps = {
-    ExpandedD2Row, DirectD2Row, DotRow,       Axpy,
-    AxpyDiff,      RbfFromD2Row, BoxMullerRow,
+    ExpandedD2Row, DirectD2Row,  DotRow,
+    Axpy,          AxpyDiff,     RbfFromD2Row,
+    BoxMullerRow,  QuantizeNoisyPairs, SelectiveMeanStripe,
 };
 
 }  // namespace simd_internal

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "linalg/simd.h"
 
 namespace mivid {
 
@@ -12,7 +13,9 @@ namespace {
 
 /// Pixels per stripe of UpdateBatch. Fixed, so the decomposition (and
 /// with it the output) never depends on the thread count; a stripe's
-/// model (32 KiB of doubles) stays cache-resident across the batch.
+/// model (32 KiB of doubles) stays cache-resident across the batch. The
+/// stripe's quantized sum (< 4096 * 256) fits selective_mean_stripe's
+/// uint32.
 constexpr size_t kStripePixels = 4096;
 
 bool IsForeground(uint8_t pixel, double mean, double threshold) {
@@ -89,6 +92,7 @@ void BackgroundModel::UpdateBatch(std::span<const Frame* const> frames,
 
   const double a = options_.learning_rate;
   const double threshold = options_.diff_threshold;
+  const SimdOpsTable& ops = SimdOps();
   // Quantized-background sums per [stripe][frame]; integers, so exact.
   std::vector<uint64_t> sums(
       ParallelChunkCount(pixels, kStripePixels) * frames.size(), 0);
@@ -100,6 +104,7 @@ void BackgroundModel::UpdateBatch(std::span<const Frame* const> frames,
     for (size_t k = 0; k < frames.size(); ++k) {
       const FramePlan& p = plan[k];
       const uint8_t* px = frames[k]->pixels().data();
+      const bool warmup = p.seen < options_.warmup_frames;
       if (median) {
         if (p.median_slot >= 0) {
           std::copy(px + begin, px + end,
@@ -114,29 +119,21 @@ void BackgroundModel::UpdateBatch(std::span<const Frame* const> frames,
             mean[i] = *mid;
           }
         }
-      } else if (p.seen < options_.warmup_frames) {
+      } else if (warmup) {
         // Running mean during warmup.
         const double n = static_cast<double>(p.seen);
         for (size_t i = begin; i < end; ++i) {
           mean[i] = (mean[i] * n + px[i]) / (n + 1.0);
         }
-      } else {
-        // Selective EMA: adapt only where the pixel still looks like
-        // background, so stationary vehicles are not absorbed quickly.
-        for (size_t i = begin; i < end; ++i) {
-          if (std::fabs(px[i] - mean[i]) < threshold) {
-            mean[i] = (1.0 - a) * mean[i] + a * px[i];
-          }
-        }
       }
-      if (out.empty() || !p.ready) continue;
-      uint8_t* mask = out[k]->mask.data();
-      uint32_t sum = 0;  // < kStripePixels * 256
-      for (size_t i = begin; i < end; ++i) {
-        mask[i] = IsForeground(px[i], mean[i], threshold);
-        sum += Quantize(mean[i]);
-      }
-      stripe_sums[k] = sum;
+      // After warmup the selective EMA adapts only where the pixel still
+      // looks like background, so stationary vehicles are not absorbed
+      // quickly; the same pass writes the mask and the quantized sum.
+      const bool observe = !out.empty() && p.ready;
+      const uint32_t sum = ops.selective_mean_stripe(
+          px + begin, end - begin, a, threshold, !median && !warmup,
+          mean + begin, observe ? out[k]->mask.data() + begin : nullptr);
+      if (observe) stripe_sums[k] = sum;
     }
   });
   if (out.empty()) return;

@@ -25,9 +25,11 @@ struct BlobOptions {
   bool eight_connected = true;
 };
 
-/// Labels connected components of `mask` and returns one Blob per
-/// component that passes the filters. `source` provides intensities for
-/// mean_intensity (pass the original frame).
+/// Labels connected components of `mask` (any nonzero byte is
+/// foreground; same size as `source`) and returns one Blob per component
+/// that passes the filters, in the raster order of each component's first
+/// pixel. `source` provides intensities for mean_intensity (pass the
+/// original frame).
 std::vector<Blob> ExtractBlobs(const Mask& mask, const Frame& source,
                                const BlobOptions& options = {});
 

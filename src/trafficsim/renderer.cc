@@ -15,20 +15,15 @@ namespace {
 /// two of approximations: 8 KiB).
 constexpr size_t kNoiseBlockPairs = 256;
 
-/// Noisy value of pixel `p`, computed exactly as adding
-/// Gaussian(0, stddev) noise does, clamped to [0.5, 255.5]. Its integer
-/// part is the pixel's byte uint8(clamp(v, 0, 255)), since the byte only
-/// changes at the integers 1..255; and it lies within `margin` of a byte
-/// boundary exactly when its fraction lies within `margin` of 0 or 1.
-double ClampedNoisyValue(uint8_t p, double illumination, double stddev,
-                         double g) {
+/// Byte of pixel `p` with Gaussian(0, stddev) noise `g` added, computed
+/// as the quantize_noisy_pairs kernel does (see SimdOpsTable). The byte
+/// is uint8(clamp(v, 0, 255)) of the noisy value v: clamping v to [0.5,
+/// 255.5] first changes no byte, since bytes change only at the integers
+/// 1..255.
+uint8_t NoisyPixel(uint8_t p, double illumination, double stddev, double g) {
   double v = static_cast<double>(p) + illumination;
   v += 0.0 + stddev * g;
-  return std::min(std::max(v, 0.5), 255.5);
-}
-
-uint8_t NoisyPixel(uint8_t p, double illumination, double stddev, double g) {
-  return static_cast<uint8_t>(ClampedNoisyValue(p, illumination, stddev, g));
+  return static_cast<uint8_t>(std::min(std::max(v, 0.5), 255.5));
 }
 
 }  // namespace
@@ -39,36 +34,28 @@ size_t QuantizeNoisyPairs(const double* u1, const double* u2,
                           const double* g_cos, const double* g_sin,
                           size_t pairs, double illumination, double stddev,
                           double margin, uint8_t* pixels) {
-  // Branch-free pass over the approximations, then the rare exact pairs.
-  const double far = 0.5 - margin;  // |frac - 1/2| > far: near a boundary
+  // The tiered pass over the approximations, then the rare exact pairs.
+  // A value lies within `margin` of a byte boundary exactly when its
+  // fraction lies within `margin` of 0 or 1.
+  const SimdOpsTable& ops = SimdOps();
+  const double far = 0.5 - margin;
   uint8_t bytes[2 * kNoiseBlockPairs];
-  bool near[kNoiseBlockPairs];
+  uint32_t flagged[kNoiseBlockPairs];
   size_t exact = 0;
   for (size_t begin = 0; begin < pairs; begin += kNoiseBlockPairs) {
     const size_t n = std::min(pairs - begin, kNoiseBlockPairs);
     uint8_t* px = pixels + 2 * begin;
-    int any = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const double w0 =
-          ClampedNoisyValue(px[2 * i], illumination, stddev, g_cos[begin + i]);
-      const double w1 = ClampedNoisyValue(px[2 * i + 1], illumination, stddev,
-                                          g_sin[begin + i]);
-      const int b0 = static_cast<int>(w0);
-      const int b1 = static_cast<int>(w1);
-      bytes[2 * i] = static_cast<uint8_t>(b0);
-      bytes[2 * i + 1] = static_cast<uint8_t>(b1);
-      near[i] = (std::fabs(w0 - b0 - 0.5) > far) |
-                (std::fabs(w1 - b1 - 0.5) > far);
-      any |= near[i];
-    }
-    for (size_t i = 0; any && i < n; ++i) {
-      if (!near[i]) continue;
+    const size_t near =
+        ops.quantize_noisy_pairs(px, g_cos + begin, g_sin + begin, n,
+                                 illumination, stddev, far, bytes, flagged);
+    for (size_t k = 0; k < near; ++k) {
+      const size_t i = flagged[k];
       double gc, gs;
       Rng::BoxMullerPair(u1[begin + i], u2[begin + i], &gc, &gs);
       bytes[2 * i] = NoisyPixel(px[2 * i], illumination, stddev, gc);
       bytes[2 * i + 1] = NoisyPixel(px[2 * i + 1], illumination, stddev, gs);
-      ++exact;
     }
+    exact += near;
     std::copy(bytes, bytes + 2 * n, px);
   }
   return exact;

@@ -2,7 +2,9 @@
 // the full VehicleSegmenter on synthetic frames.
 
 #include <algorithm>
+#include <deque>
 #include <span>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -239,6 +241,135 @@ TEST(BlobTest, EightVsFourConnectivity) {
   EXPECT_EQ(ExtractBlobs(mask, frame, options).size(), 1u);
   options.eight_connected = false;
   EXPECT_EQ(ExtractBlobs(mask, frame, options).size(), 2u);
+}
+
+/// ExtractBlobs as it was written before the scan reused its scratch: a
+/// breadth-first fill from each seed in raster order, with double sums.
+/// The reference the current implementation must match bit for bit.
+std::vector<Blob> ReferenceExtractBlobs(const Mask& mask, const Frame& source,
+                                        const BlobOptions& options) {
+  const int w = source.width(), h = source.height();
+  std::vector<Blob> blobs;
+  std::vector<uint8_t> visited(mask.size(), 0);
+  static const int dx8[] = {1, -1, 0, 0, 1, 1, -1, -1};
+  static const int dy8[] = {0, 0, 1, -1, 1, -1, 1, -1};
+  const int num_dirs = options.eight_connected ? 8 : 4;
+  std::deque<std::pair<int, int>> queue;
+  for (int sy = 0; sy < h; ++sy) {
+    for (int sx = 0; sx < w; ++sx) {
+      const size_t si = static_cast<size_t>(sy) * w + sx;
+      if (mask[si] == 0 || visited[si]) continue;
+      queue.assign(1, {sx, sy});
+      visited[si] = 1;
+      double sum_x = 0, sum_y = 0, sum_i = 0;
+      int area = 0;
+      int min_x = sx, max_x = sx, min_y = sy, max_y = sy;
+      while (!queue.empty()) {
+        const auto [x, y] = queue.front();
+        queue.pop_front();
+        ++area;
+        sum_x += x;
+        sum_y += y;
+        sum_i += source.At(x, y);
+        min_x = std::min(min_x, x);
+        max_x = std::max(max_x, x);
+        min_y = std::min(min_y, y);
+        max_y = std::max(max_y, y);
+        for (int d = 0; d < num_dirs; ++d) {
+          const int nx = x + dx8[d], ny = y + dy8[d];
+          if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+          const size_t ni = static_cast<size_t>(ny) * w + nx;
+          if (mask[ni] == 0 || visited[ni]) continue;
+          visited[ni] = 1;
+          queue.emplace_back(nx, ny);
+        }
+      }
+      if (area < options.min_area || area > options.max_area) continue;
+      Blob blob;
+      blob.area = area;
+      blob.centroid = {sum_x / area, sum_y / area};
+      blob.mbr = BBox(min_x, min_y, max_x, max_y);
+      blob.mean_intensity = sum_i / area;
+      blobs.push_back(blob);
+    }
+  }
+  return blobs;
+}
+
+void ExpectSameBlobs(const std::vector<Blob>& got,
+                     const std::vector<Blob>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t b = 0; b < got.size(); ++b) {
+    SCOPED_TRACE(b);
+    EXPECT_EQ(got[b].area, want[b].area);
+    EXPECT_EQ(got[b].centroid.x, want[b].centroid.x);
+    EXPECT_EQ(got[b].centroid.y, want[b].centroid.y);
+    EXPECT_EQ(got[b].mbr.min_x, want[b].mbr.min_x);
+    EXPECT_EQ(got[b].mbr.min_y, want[b].mbr.min_y);
+    EXPECT_EQ(got[b].mbr.max_x, want[b].mbr.max_x);
+    EXPECT_EQ(got[b].mbr.max_y, want[b].mbr.max_y);
+    EXPECT_EQ(got[b].mean_intensity, want[b].mean_intensity);
+  }
+}
+
+TEST(BlobScanTest, MatchesBreadthFirstReferenceOnRandomMasks) {
+  // Random masks (any nonzero byte is foreground) of every density on
+  // narrow and odd-width frames, plus a full mask and a border ring, so
+  // components touch every edge; each area filter also sits exactly on a
+  // component's area.
+  Rng rng(41);
+  for (const int w : {1, 2, 3, 17, 40}) {
+    for (const int h : {1, 2, 3, 17, 23}) {
+      Frame frame(w, h);
+      for (auto& p : frame.pixels()) {
+        p = static_cast<uint8_t>(rng.UniformInt(0, 255));
+      }
+      std::vector<Mask> masks;
+      for (const double density : {0.05, 0.3, 0.55, 0.9}) {
+        Mask mask(frame.size());
+        for (auto& m : mask) {
+          m = rng.Bernoulli(density) ? static_cast<uint8_t>(rng.UniformInt(1, 255))
+                                     : 0;
+        }
+        masks.push_back(std::move(mask));
+      }
+      masks.emplace_back(frame.size(), 1);
+      Mask ring(frame.size(), 0);
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          ring[y * w + x] = x == 0 || y == 0 || x == w - 1 || y == h - 1;
+        }
+      }
+      masks.push_back(std::move(ring));
+      for (const Mask& mask : masks) {
+        for (const bool eight : {true, false}) {
+          BlobOptions all;
+          all.min_area = 1;
+          all.eight_connected = eight;
+          const std::vector<Blob> every = ReferenceExtractBlobs(mask, frame, all);
+          std::vector<BlobOptions> filters = {all};
+          if (!every.empty()) {
+            BlobOptions edge = all;
+            edge.min_area = every[every.size() / 2].area;
+            edge.max_area = every.front().area;
+            filters.push_back(edge);
+            edge.max_area = edge.min_area;
+            filters.push_back(edge);
+            edge.min_area = every.back().area + 1;
+            edge.max_area = 1 << 20;
+            filters.push_back(edge);
+          }
+          for (const BlobOptions& options : filters) {
+            SCOPED_TRACE(testing::Message()
+                         << w << "x" << h << " eight " << eight << " min "
+                         << options.min_area << " max " << options.max_area);
+            ExpectSameBlobs(ExtractBlobs(mask, frame, options),
+                            ReferenceExtractBlobs(mask, frame, options));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SegmenterTest, EndToEndDetectsMovingVehicle) {

@@ -1,13 +1,16 @@
 // Bit-identity and dispatch tests for the SIMD kernel primitives
-// (linalg/simd.h), the packed feature layout, the early-termination
-// top-k ranking, and the zero-copy corpus snapshot.
+// (linalg/simd.h), including the pixel kernels, the packed feature
+// layout, the early-termination top-k ranking, and the zero-copy corpus
+// snapshot.
 //
 // The load-bearing invariant: every primitive produces bit-identical
 // results on every dispatch tier, so rankings never depend on the host's
 // instruction set (or on MIVID_SIMD / MIVID_THREADS).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -668,6 +671,239 @@ TEST(PackedCorpusIoTest, CraftedHeaderIsCorruption) {
     EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   }
   fs::remove_all(dir);
+}
+
+/// The reference every tier's quantize_noisy_pairs must reproduce: the
+/// scalar quantize loop the renderer ran before the kernel table had one.
+void ReferenceQuantizeNoisyPairs(const uint8_t* pixels, const double* g_cos,
+                                 const double* g_sin, size_t count,
+                                 double illumination, double stddev,
+                                 double far, uint8_t* bytes,
+                                 std::vector<uint32_t>* flagged) {
+  auto clamped = [&](uint8_t p, double g) {
+    double v = static_cast<double>(p) + illumination;
+    v += 0.0 + stddev * g;
+    return std::min(std::max(v, 0.5), 255.5);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    const double w0 = clamped(pixels[2 * i], g_cos[i]);
+    const double w1 = clamped(pixels[2 * i + 1], g_sin[i]);
+    const int b0 = static_cast<int>(w0);
+    const int b1 = static_cast<int>(w1);
+    bytes[2 * i] = static_cast<uint8_t>(b0);
+    bytes[2 * i + 1] = static_cast<uint8_t>(b1);
+    const bool near = (std::fabs(w0 - b0 - 0.5) > far) |
+                      (std::fabs(w1 - b1 - 0.5) > far);
+    if (near) flagged->push_back(static_cast<uint32_t>(i));
+  }
+}
+
+TEST(QuantizeNoisyPairsKernelTest, TiersMatchTheScalarLoopAtEveryLength) {
+  // Noise values aimed at byte boundaries (just below, on and above an
+  // integer, and at its midpoint), at both clamps, and at random.
+  constexpr size_t kMax = 40;
+  Rng rng(17);
+  for (const double illumination : {0.0, -3.25, 7.5}) {
+    for (const double stddev : {0.5, 6.0}) {
+      std::vector<uint8_t> pixels(2 * kMax);
+      std::vector<double> g(2 * kMax);
+      for (size_t k = 0; k < pixels.size(); ++k) {
+        const int pick = rng.UniformInt(0, 5);
+        pixels[k] = pick == 0   ? 0
+                    : pick == 1 ? 255
+                                : static_cast<uint8_t>(rng.UniformInt(0, 255));
+        const double base = pixels[k] + illumination;
+        const double target =
+            std::round(base + rng.Uniform(-20.0, 20.0)) +
+            std::vector<double>{0.0, 0x1p-40, -0x1p-40, 0.5, 1e-9}[k % 5];
+        switch (rng.UniformInt(0, 3)) {
+          case 0:
+            g[k] = (target - base) / stddev;
+            break;
+          case 1:
+            g[k] = (rng.Bernoulli(0.5) ? 300.0 : -300.0) / stddev;
+            break;
+          default:
+            g[k] = rng.Gaussian(0.0, 1.0);
+        }
+      }
+      std::vector<double> g_cos(kMax), g_sin(kMax);
+      for (size_t i = 0; i < kMax; ++i) {
+        g_cos[i] = g[2 * i];
+        g_sin[i] = g[2 * i + 1];
+      }
+      for (const double far : {0.5 - 1e-9, 0.2}) {
+        for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
+          for (size_t n = 0; n + offset <= kMax && n <= 37; ++n) {
+            std::vector<uint8_t> want_bytes(2 * n);
+            std::vector<uint32_t> want_flagged;
+            ReferenceQuantizeNoisyPairs(
+                pixels.data() + 2 * offset, g_cos.data() + offset,
+                g_sin.data() + offset, n, illumination, stddev, far,
+                want_bytes.data(), &want_flagged);
+            TierGuard guard;
+            for (const int tier : AvailableTiers()) {
+              SetSimdTier(tier);
+              std::vector<uint8_t> bytes(2 * n, 0xAA);
+              std::vector<uint32_t> flagged(n);
+              flagged.resize(SimdOps().quantize_noisy_pairs(
+                  pixels.data() + 2 * offset, g_cos.data() + offset,
+                  g_sin.data() + offset, n, illumination, stddev, far,
+                  bytes.data(), flagged.data()));
+              SCOPED_TRACE(testing::Message()
+                           << "tier " << tier << " n " << n << " offset "
+                           << offset << " far " << far << " illum "
+                           << illumination << " sd " << stddev);
+              EXPECT_EQ(bytes, want_bytes);
+              EXPECT_EQ(flagged, want_flagged);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The reference every tier's selective_mean_stripe must reproduce: the
+/// post-warmup scalar loops BackgroundModel::UpdateBatch ran before the
+/// kernel table had one.
+uint32_t ReferenceSelectiveMeanStripe(const uint8_t* px, size_t count, double a,
+                                      double threshold, bool update,
+                                      double* mean, uint8_t* mask) {
+  if (update) {
+    for (size_t i = 0; i < count; ++i) {
+      if (std::fabs(px[i] - mean[i]) < threshold) {
+        mean[i] = (1.0 - a) * mean[i] + a * px[i];
+      }
+    }
+  }
+  if (mask == nullptr) return 0;
+  uint32_t sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    mask[i] = std::fabs(px[i] - mean[i]) >= threshold;
+    sum += static_cast<uint8_t>(std::clamp(mean[i], 0.0, 255.0));
+  }
+  return sum;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out;
+  for (const double d : v) out.push_back(std::bit_cast<uint64_t>(d));
+  return out;
+}
+
+TEST(SelectiveMeanStripeTest, TiersMatchTheScalarLoopsAtEveryLength) {
+  // Means exactly one threshold (and one ulp around it) from the pixel,
+  // equal to it, outside [0, 255], signed zeros, and random; pixels at 0,
+  // 255 and random; learning rates 0, 1 and the default.
+  constexpr size_t kMax = 40;
+  Rng rng(23);
+  for (const double threshold : {18.0, 0.75}) {
+    std::vector<uint8_t> px(kMax);
+    std::vector<double> mean(kMax);
+    for (size_t i = 0; i < kMax; ++i) {
+      const int pick = rng.UniformInt(0, 3);
+      px[i] = pick == 0   ? 0
+              : pick == 1 ? 255
+                          : static_cast<uint8_t>(rng.UniformInt(0, 255));
+      const double p = px[i];
+      const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+      switch (i % 8) {
+        case 0:
+          mean[i] = p + sign * threshold;
+          break;
+        case 1:
+          mean[i] = std::nextafter(p + sign * threshold, p);
+          break;
+        case 2:
+          mean[i] = std::nextafter(p + sign * threshold, sign * 1e9);
+          break;
+        case 3:
+          mean[i] = p;
+          break;
+        case 4:
+          mean[i] = std::vector<double>{-3.5, 300.0, 255.999, -0.0, 0.0,
+                                        255.0, -1e-300}[rng.UniformInt(0, 6)];
+          break;
+        default:
+          mean[i] = p + rng.Uniform(-2.0, 2.0) * threshold;
+      }
+    }
+    for (const double a : {0.0, 1.0, 0.02}) {
+      for (const bool update : {false, true}) {
+        for (const bool with_mask : {false, true}) {
+          for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
+            for (size_t n = 0; n + offset <= kMax && n <= 37; ++n) {
+              std::vector<double> want_mean(mean.begin() + offset,
+                                            mean.begin() + offset + n);
+              std::vector<uint8_t> want_mask(n, 0xAA);
+              const uint32_t want = ReferenceSelectiveMeanStripe(
+                  px.data() + offset, n, a, threshold, update,
+                  want_mean.data(), with_mask ? want_mask.data() : nullptr);
+              TierGuard guard;
+              for (const int tier : AvailableTiers()) {
+                SetSimdTier(tier);
+                std::vector<double> got_mean(mean.begin() + offset,
+                                             mean.begin() + offset + n);
+                std::vector<uint8_t> got_mask(n, 0xAA);
+                const uint32_t got = SimdOps().selective_mean_stripe(
+                    px.data() + offset, n, a, threshold, update,
+                    got_mean.data(), with_mask ? got_mask.data() : nullptr);
+                SCOPED_TRACE(testing::Message()
+                             << "tier " << tier << " n " << n << " offset "
+                             << offset << " a " << a << " thr " << threshold
+                             << " update " << update << " mask " << with_mask);
+                EXPECT_EQ(got, want);
+                EXPECT_EQ(Bits(got_mean), Bits(want_mean));
+                EXPECT_EQ(got_mask, want_mask);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectiveMeanStripeTest, FullStripeOfNoisyFramesMatchesAcrossTiers) {
+  // One 4096-pixel stripe through 40 noisy frames, as UpdateBatch drives
+  // it: every tier's model, masks and sums stay bit-identical.
+  constexpr size_t kPixels = 4096;
+  Rng rng(29);
+  std::vector<std::vector<uint8_t>> frames(40, std::vector<uint8_t>(kPixels));
+  for (auto& frame : frames) {
+    for (size_t i = 0; i < kPixels; ++i) {
+      const double base = (i / 64) % 3 == 0 ? 200.0 : 60.0;
+      frame[i] = static_cast<uint8_t>(
+          std::clamp(base + rng.Gaussian(0.0, 12.0), 0.0, 255.0));
+    }
+  }
+  std::vector<double> start(kPixels);
+  for (auto& m : start) m = rng.Uniform(0.0, 255.0);
+  std::vector<double> want_mean = start;
+  std::vector<std::vector<uint8_t>> want_masks;
+  std::vector<uint32_t> want_sums;
+  for (const auto& frame : frames) {
+    want_masks.emplace_back(kPixels);
+    want_sums.push_back(ReferenceSelectiveMeanStripe(
+        frame.data(), kPixels, 0.02, 18.0, true, want_mean.data(),
+        want_masks.back().data()));
+  }
+  TierGuard guard;
+  for (const int tier : AvailableTiers()) {
+    SetSimdTier(tier);
+    std::vector<double> mean = start;
+    for (size_t f = 0; f < frames.size(); ++f) {
+      std::vector<uint8_t> mask(kPixels);
+      EXPECT_EQ(SimdOps().selective_mean_stripe(frames[f].data(), kPixels,
+                                                0.02, 18.0, true, mean.data(),
+                                                mask.data()),
+                want_sums[f])
+          << "tier " << tier << " frame " << f;
+      EXPECT_EQ(mask, want_masks[f]) << "tier " << tier << " frame " << f;
+    }
+    EXPECT_EQ(Bits(mean), Bits(want_mean)) << "tier " << tier;
+  }
 }
 
 }  // namespace

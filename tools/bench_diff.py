@@ -7,20 +7,32 @@ regressions beyond a threshold. Intended for PR review and CI:
     tools/bench_diff.py BENCH_micro.base.json BENCH_micro.json
     tools/bench_diff.py --threshold 0.15 old.json new.json
 
-Exit status: 0 when no benchmark regressed more than the threshold,
-1 on regression, 2 on malformed input. Aggregate entries (mean/median/
-stddev rows emitted with --benchmark_repetitions) are skipped; only raw
-iterations are compared. Benchmarks present in only one report are
-listed but never fail the check (they are new or retired, not slower).
+Wall-clock times are noisy, so they only fail beyond the threshold. The
+deterministic quality counters (EXACT_COUNTERS: per-round accuracy@20,
+SMO iterations, support vectors) are not noisy: any change in them, or a
+counter present in only one report, fails the diff whatever the
+threshold.
+
+Exit status: 0 when no benchmark regressed more than the threshold and
+no exact counter changed, 1 otherwise, 2 on malformed input. Aggregate
+entries (mean/median/stddev rows emitted with --benchmark_repetitions)
+are skipped; only raw iterations are compared. Benchmarks present in
+only one report are listed but never fail the check (they are new or
+retired, not slower).
 """
 
 import argparse
 import json
+import re
 import sys
+
+# Counters a deterministic run reproduces bit for bit.
+EXACT_COUNTERS = re.compile(r"^(acc20_round\d+|smo_iterations|support_vectors)$")
 
 
 def load_benchmarks(path):
-    """Returns {name: (real_time, time_unit)} for raw benchmark entries."""
+    """Returns {name: (real_time, time_unit, exact_counters)} for raw
+    benchmark entries."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             report = json.load(f)
@@ -35,7 +47,9 @@ def load_benchmarks(path):
         time = entry.get("real_time")
         if name is None or time is None:
             continue
-        out[name] = (float(time), entry.get("time_unit", "ns"))
+        counters = {key: value for key, value in entry.items()
+                    if EXACT_COUNTERS.match(key)}
+        out[name] = (float(time), entry.get("time_unit", "ns"), counters)
     if not out:
         print(f"error: no benchmark entries in {path}", file=sys.stderr)
         sys.exit(2)
@@ -79,9 +93,10 @@ def main():
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'candidate':>12}  "
           f"{'delta':>8}")
     regressions = []
+    counter_changes = []
     for name in shared:
-        old, old_unit = base[name]
-        new, new_unit = cand[name]
+        old, old_unit, old_counters = base[name]
+        new, new_unit, new_counters = cand[name]
         if old_unit != new_unit:
             print(f"error: {name}: time_unit changed "
                   f"({old_unit} -> {new_unit})", file=sys.stderr)
@@ -95,17 +110,29 @@ def main():
             flag = "  improved"
         print(f"{name:<{width}}  {old:>10.1f}{old_unit:>2}  "
               f"{new:>10.1f}{new_unit:>2}  {ratio:>+7.1%}{flag}")
+        for counter in sorted(set(old_counters) | set(new_counters)):
+            before = old_counters.get(counter)
+            after = new_counters.get(counter)
+            if before != after:
+                counter_changes.append((name, counter, before, after))
+                print(f"  {counter}: {before} -> {after}  COUNTER CHANGED")
 
     for name in only_base:
         print(f"{name:<{width}}  (removed)")
     for name in only_cand:
         print(f"{name:<{width}}  (new)")
 
+    if counter_changes:
+        print(f"\n{len(counter_changes)} exact counter(s) changed:",
+              file=sys.stderr)
+        for name, counter, before, after in counter_changes:
+            print(f"  {name} {counter}: {before} -> {after}", file=sys.stderr)
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) regressed more than "
               f"{args.threshold:.0%}:", file=sys.stderr)
         for name, ratio in regressions:
             print(f"  {name}: {ratio:+.1%}", file=sys.stderr)
+    if counter_changes or regressions:
         sys.exit(1)
     print(f"\nno regression beyond {args.threshold:.0%} "
           f"({len(shared)} compared)")
