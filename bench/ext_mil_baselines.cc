@@ -2,43 +2,55 @@
 // One-class-SVM MIL engine against the MIL literature it surveys in
 // Sec. 2.1 — MI-SVM (Andrews et al. [16]) and EM-DD (Zhang & Goldman [7])
 // — plus the weighted-RF baseline, all under the same relevance-feedback
-// protocol on both clips.
+// protocol on both clips. Every learner is built by its registry key.
 
 #include <cstdio>
-#include <functional>
 
-#include "baseline/rocchio.h"
-#include "baseline/weighted_rf.h"
 #include "common/ascii_plot.h"
 #include "common/string_util.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
-#include "mil/citation_knn.h"
-#include "mil/diverse_density.h"
-#include "mil/mi_svm.h"
+#include "retrieval/engine_registry.h"
 
 using namespace mivid;
 
 namespace {
 
-using RankFn = std::function<std::vector<ScoredBag>()>;
-using LearnFn = std::function<void()>;
+/// Display label per registry key, in table order.
+struct Method {
+  const char* key;
+  const char* label;
+};
+constexpr Method kMethods[] = {
+    {"milrf", "OneClassSVM (paper)"}, {"misvm", "MI-SVM"},
+    {"dd", "EM-DD"},                  {"cknn", "Citation-kNN"},
+    {"weighted", "Weighted_RF"},      {"rocchio", "Rocchio"},
+};
 
+/// Accuracy per round: rank (the initial-query heuristic until the engine
+/// has trained), label the top n from the oracle, retrain.
 std::vector<double> RunProtocol(const ClipAnalysis& analysis,
-                                MilDataset* dataset, int rounds, size_t top_n,
-                                const RankFn& rank, const LearnFn& learn) {
+                                RetrievalEngine* engine,
+                                const EventModel& heuristic, int rounds,
+                                size_t top_n) {
+  const size_t dim = analysis.scaler.dimension();
   std::vector<double> curve;
   for (int round = 0; round <= rounds; ++round) {
-    const auto ids = RankingIds(rank());
+    const auto ids =
+        RankingIds(engine->trained()
+                       ? engine->Rank()
+                       : HeuristicRanking(engine->dataset(), heuristic, dim));
     curve.push_back(AccuracyAtN(ids, analysis.truth, top_n));
     if (round == rounds) break;
+    std::vector<std::pair<int, BagLabel>> labels;
     for (size_t i = 0; i < ids.size() && i < top_n; ++i) {
       auto it = analysis.truth.find(ids[i]);
-      (void)dataset->SetLabel(ids[i], it == analysis.truth.end()
-                                          ? BagLabel::kIrrelevant
-                                          : it->second);
+      labels.emplace_back(ids[i], it == analysis.truth.end()
+                                      ? BagLabel::kIrrelevant
+                                      : it->second);
     }
-    learn();
+    (void)engine->SetLabels(labels);
+    (void)engine->Retrain();
   }
   return curve;
 }
@@ -55,100 +67,22 @@ void RunClip(const char* label, const ScenarioSpec& scenario, int stride) {
   const ClipAnalysis& analysis = analysis_or.value();
   const size_t dim = analysis.scaler.dimension();
   const EventModel heuristic = EventModel::Accident(dim);
-  const int rounds = 4;
+  EngineConfig config;
+  config.mil.base_dim = dim;
+  config.weighted.base_dim = dim;
 
   std::vector<std::pair<std::string, std::vector<double>>> curves;
-
-  {  // Paper method: One-class SVM.
+  for (const Method& method : kMethods) {
     MilDataset ds = analysis.dataset;
-    MilRfOptions mil;
-    mil.base_dim = dim;
-    MilRfEngine engine(&ds, mil);
-    curves.emplace_back(
-        "OneClassSVM (paper)",
-        RunProtocol(
-            analysis, &ds, rounds, options.top_n,
-            [&] {
-              return engine.trained()
-                         ? engine.Rank()
-                         : HeuristicRanking(ds, heuristic, dim);
-            },
-            [&] {
-              if (ds.CountLabel(BagLabel::kRelevant) > 0) {
-                (void)engine.Learn();
-              }
-            }));
-  }
-  {  // MI-SVM.
-    MilDataset ds = analysis.dataset;
-    MiSvmEngine engine(&ds, MiSvmOptions{});
-    curves.emplace_back(
-        "MI-SVM",
-        RunProtocol(
-            analysis, &ds, rounds, options.top_n,
-            [&] {
-              return engine.trained()
-                         ? engine.Rank()
-                         : HeuristicRanking(ds, heuristic, dim);
-            },
-            [&] { (void)engine.Learn(); }));
-  }
-  {  // EM-DD.
-    MilDataset ds = analysis.dataset;
-    DiverseDensityEngine engine(&ds, DiverseDensityOptions{});
-    curves.emplace_back(
-        "EM-DD",
-        RunProtocol(
-            analysis, &ds, rounds, options.top_n,
-            [&] {
-              return engine.trained()
-                         ? engine.Rank()
-                         : HeuristicRanking(ds, heuristic, dim);
-            },
-            [&] {
-              if (ds.CountLabel(BagLabel::kRelevant) > 0) {
-                (void)engine.Learn();
-              }
-            }));
-  }
-  {  // Citation-kNN (lazy MIL, ref [10]).
-    MilDataset ds = analysis.dataset;
-    CitationKnnEngine engine(&ds, CitationKnnOptions{});
-    curves.emplace_back(
-        "Citation-kNN",
-        RunProtocol(
-            analysis, &ds, rounds, options.top_n,
-            [&] {
-              return engine.trained()
-                         ? engine.Rank()
-                         : HeuristicRanking(ds, heuristic, dim);
-            },
-            [&] { (void)engine.Learn(); }));
-  }
-  {  // Weighted RF.
-    MilDataset ds = analysis.dataset;
-    WeightedRfOptions wopts;
-    wopts.base_dim = dim;
-    WeightedRfEngine engine(&ds, wopts);
-    curves.emplace_back("Weighted_RF",
-                        RunProtocol(
-                            analysis, &ds, rounds, options.top_n,
-                            [&] { return engine.Rank(); },
-                            [&] { (void)engine.Learn(); }));
-  }
-  {  // Rocchio query-point movement (classic RF, Sec. 2.2).
-    MilDataset ds = analysis.dataset;
-    RocchioEngine engine(&ds, RocchioOptions{});
-    curves.emplace_back(
-        "Rocchio",
-        RunProtocol(
-            analysis, &ds, rounds, options.top_n,
-            [&] {
-              return engine.trained()
-                         ? engine.Rank()
-                         : HeuristicRanking(ds, heuristic, dim);
-            },
-            [&] { (void)engine.Learn(); }));
+    Result<std::unique_ptr<RetrievalEngine>> engine =
+        MakeRetrievalEngine(method.key, &ds, config);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+      return;
+    }
+    curves.emplace_back(method.label,
+                        RunProtocol(analysis, engine->get(), heuristic,
+                                    /*rounds=*/4, options.top_n));
   }
 
   std::printf("\n%s (windows=%zu, relevant=%zu)\n", label,

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -126,6 +127,7 @@ Status WorkerSupervisor::Spawn(Child& child) {
   for (std::string& arg : args) argv.push_back(arg.data());
   argv.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     return Status::IOError(std::string("fork failed: ") +
@@ -134,6 +136,10 @@ Status WorkerSupervisor::Spawn(Child& child) {
   if (pid == 0) {
     // Child: stdout/stderr -> the worker's log (the port line is read
     // from there), then exec. Only async-signal-safe calls from here on.
+    // SIGTERM the worker when the coordinator dies, even by SIGKILL; the
+    // re-check covers a coordinator that died before prctl ran.
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+    if (::getppid() != parent) ::_exit(1);
     const int log_fd = ::open(child.log_path.c_str(),
                               O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (log_fd >= 0) {

@@ -16,21 +16,9 @@ Matrix Matrix::FromRows(const std::vector<Vec>& rows) {
   return m;
 }
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
 Vec Matrix::Row(size_t r) const {
   Vec v(cols_);
   for (size_t c = 0; c < cols_; ++c) v[c] = At(r, c);
-  return v;
-}
-
-Vec Matrix::Col(size_t c) const {
-  Vec v(rows_);
-  for (size_t r = 0; r < rows_; ++r) v[r] = At(r, c);
   return v;
 }
 
@@ -71,10 +59,6 @@ Vec Matrix::Multiply(const Vec& v) const {
     out[i] = acc;
   }
   return out;
-}
-
-void Matrix::Scale(double s) {
-  for (double& v : data_) v *= s;
 }
 
 double Matrix::FrobeniusNorm() const {
@@ -128,13 +112,6 @@ Vec Add(const Vec& a, const Vec& b) {
   assert(a.size() == b.size());
   Vec out(a.size());
   for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vec Sub(const Vec& a, const Vec& b) {
-  assert(a.size() == b.size());
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
   return out;
 }
 

@@ -30,9 +30,6 @@ class Matrix {
   /// Creates a matrix from nested initializer data (rows of equal width).
   static Matrix FromRows(const std::vector<Vec>& rows);
 
-  /// Identity matrix of size n.
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -52,9 +49,6 @@ class Matrix {
   /// Returns row `r` as a vector copy.
   Vec Row(size_t r) const;
 
-  /// Returns column `c` as a vector copy.
-  Vec Col(size_t c) const;
-
   /// Sets row `r` from `v` (sizes must match).
   void SetRow(size_t r, const Vec& v);
 
@@ -65,9 +59,6 @@ class Matrix {
 
   /// Matrix-vector product; requires cols() == v.size().
   Vec Multiply(const Vec& v) const;
-
-  /// Elementwise scale by `s` in place.
-  void Scale(double s);
 
   /// Frobenius norm.
   double FrobeniusNorm() const;
@@ -98,9 +89,6 @@ double SquaredDistance(const Vec& a, const Vec& b);
 
 /// a + b elementwise.
 Vec Add(const Vec& a, const Vec& b);
-
-/// a - b elementwise.
-Vec Sub(const Vec& a, const Vec& b);
 
 /// s * v.
 Vec ScaleVec(const Vec& v, double s);

@@ -31,9 +31,14 @@ void InstancePRow(const Vec& t, double scale, const PackedFeatureMatrix& feat,
 
 }  // namespace
 
-DiverseDensityEngine::DiverseDensityEngine(const MilDataset* dataset,
+DiverseDensityEngine::DiverseDensityEngine(MilDataset* dataset,
                                            DiverseDensityOptions options)
-    : dataset_(dataset), options_(options) {}
+    : RetrievalEngine(dataset), options_(options) {}
+
+Status DiverseDensityEngine::Retrain() {
+  if (dataset_->CountLabel(BagLabel::kRelevant) == 0) return Status::OK();
+  return Learn();
+}
 
 double DiverseDensityEngine::LogDd(
     const Vec& t, const std::vector<const MilBag*>& positive,

@@ -10,6 +10,7 @@
 // positive bags), as in the original two-step scheme. EM-DD replaces the
 // noisy-or over positive bags with the single best ("responsible")
 // instance per bag, alternating selection (E) and optimization (M).
+// Served as registry engine "dd".
 
 #ifndef MIVID_MIL_DIVERSE_DENSITY_H_
 #define MIVID_MIL_DIVERSE_DENSITY_H_
@@ -18,6 +19,7 @@
 
 #include "common/status.h"
 #include "mil/dataset.h"
+#include "retrieval/engine.h"
 #include "retrieval/heuristic.h"
 
 namespace mivid {
@@ -32,21 +34,26 @@ struct DiverseDensityOptions {
   bool use_em = true;           ///< EM-DD (paper: more robust) vs plain DD
 };
 
-/// Diverse-Density MIL ranker over a labeled MilDataset.
-class DiverseDensityEngine {
+/// Diverse-Density MIL ranker over a labeled MilDataset (registry key
+/// "dd").
+class DiverseDensityEngine : public RetrievalEngine {
  public:
   /// `dataset` must outlive the engine.
-  DiverseDensityEngine(const MilDataset* dataset,
-                       DiverseDensityOptions options);
+  DiverseDensityEngine(MilDataset* dataset, DiverseDensityOptions options);
+
+  std::string_view name() const override { return "dd"; }
 
   /// Finds the maximum-DD concept from the current labels. Needs >= 1
   /// relevant bag (negatives are optional but sharpen the optimum).
   Status Learn();
 
-  bool trained() const { return concept_.has_value(); }
+  /// Cold-start-aware Learn(): a no-op until a relevant label exists.
+  Status Retrain() override;
+
+  bool trained() const override { return concept_.has_value(); }
 
   /// Ranks bags by the best instance likelihood under the concept.
-  std::vector<ScoredBag> Rank() const;
+  std::vector<ScoredBag> Rank() const override;
 
   /// The learned concept point (valid when trained()).
   const Vec& concept_point() const { return *concept_; }
@@ -57,7 +64,6 @@ class DiverseDensityEngine {
                const std::vector<const MilBag*>& positive,
                const std::vector<const MilBag*>& negative) const;
 
-  const MilDataset* dataset_;
   DiverseDensityOptions options_;
   std::optional<Vec> concept_;
   double best_log_dd_ = -1e300;

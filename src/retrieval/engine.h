@@ -1,5 +1,5 @@
 // RetrievalEngine: the common interface every relevance-feedback ranker
-// implements (the proposed MIL one-class SVM and the four baselines).
+// implements (the proposed MIL one-class SVM and the five baselines).
 //
 // The interactive loop (RetrievalSession, eval/experiment.cc, and the
 // mivid_serve daemon) drives engines exclusively through this interface:

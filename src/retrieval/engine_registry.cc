@@ -31,6 +31,11 @@ const std::vector<EngineRegistryEntry>& EngineRegistry() {
            -> std::unique_ptr<RetrievalEngine> {
          return std::make_unique<CitationKnnEngine>(dataset, config.cknn);
        }},
+      {"dd", "EM-DD diverse density concept point",
+       [](MilDataset* dataset, const EngineConfig& config)
+           -> std::unique_ptr<RetrievalEngine> {
+         return std::make_unique<DiverseDensityEngine>(dataset, config.dd);
+       }},
   };
   return kRegistry;
 }

@@ -9,6 +9,7 @@
 //   "rocchio"  Rocchio query-point movement
 //   "misvm"    MI-SVM (Andrews et al.)
 //   "cknn"     citation-kNN (Wang & Zucker)
+//   "dd"       EM-DD diverse density (Zhang & Goldman)
 
 #ifndef MIVID_RETRIEVAL_ENGINE_REGISTRY_H_
 #define MIVID_RETRIEVAL_ENGINE_REGISTRY_H_
@@ -22,6 +23,7 @@
 #include "baseline/weighted_rf.h"
 #include "common/status.h"
 #include "mil/citation_knn.h"
+#include "mil/diverse_density.h"
 #include "mil/mi_svm.h"
 #include "retrieval/engine.h"
 #include "retrieval/mil_rf_engine.h"
@@ -37,6 +39,7 @@ struct EngineConfig {
   RocchioOptions rocchio;
   MiSvmOptions misvm;
   CitationKnnOptions cknn;
+  DiverseDensityOptions dd;
 };
 
 /// One registry row.

@@ -20,12 +20,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// A training candidate: the instance vector and its heuristic score.
-struct TrainingCandidate {
-  Vec features;
-  double score = 0.0;
-};
-
 }  // namespace
 
 MilRfEngine::MilRfEngine(MilDataset* dataset, MilRfOptions options)
@@ -51,9 +45,8 @@ Status MilRfEngine::Learn() {
         "no relevant feedback yet; use the initial heuristic ranking");
   }
 
-  // Assemble the training set (each candidate with its heuristic score so
-  // the global floor below can be applied).
-  std::vector<TrainingCandidate> candidates;
+  // Assemble the training set per the policy over heuristic scores.
+  std::vector<Vec> training;
   for (const MilBag* bag : relevant) {
     if (bag->empty()) continue;
     std::vector<double> scores;
@@ -65,7 +58,7 @@ Status MilRfEngine::Learn() {
       best_score = std::max(best_score, scores.back());
     }
     auto add = [&](size_t i) {
-      candidates.push_back({bag->instances[i].features, scores[i]});
+      training.push_back(bag->instances[i].features);
     };
     if (options_.policy == TrainingSetPolicy::kAllInstances) {
       for (size_t i = 0; i < scores.size(); ++i) add(i);
@@ -83,24 +76,6 @@ Status MilRfEngine::Learn() {
       }
     }
   }
-  // Global floor: a relevant bag whose best TS still looks like normal
-  // driving (a crashed car parked against the wall) would anchor the
-  // support region at the feature origin; drop such anchors.
-  if (options_.min_training_score > 0.0) {
-    double global_best = 0.0;
-    for (const auto& c : candidates) {
-      global_best = std::max(global_best, c.score);
-    }
-    const double floor = options_.min_training_score * global_best;
-    std::vector<TrainingCandidate> kept;
-    for (auto& c : candidates) {
-      if (c.score >= floor) kept.push_back(std::move(c));
-    }
-    if (!kept.empty()) candidates.swap(kept);
-  }
-  std::vector<Vec> training;
-  training.reserve(candidates.size());
-  for (auto& c : candidates) training.push_back(std::move(c.features));
   if (training.empty()) {
     return Status::FailedPrecondition("relevant bags contain no instances");
   }

@@ -52,12 +52,6 @@ struct MilRfOptions {
   double max_nu = 0.95;
   TrainingSetPolicy policy = TrainingSetPolicy::kTopScoredInstances;
   double top_score_fraction = 0.5;  ///< kTopScoredInstances threshold
-  double min_training_score = 0.0;  ///< drop training TSs whose heuristic
-                                    ///< score is below this fraction of the
-                                    ///< best score across all relevant bags
-                                    ///< (guards against feature-less but
-                                    ///< technically-relevant windows, e.g.
-                                    ///< a crashed car sitting still; 0=off)
   size_t base_dim = 3;        ///< checkpoint feature dimension
   EventModel tie_break_model; ///< heuristic used by kTopInstancePerBag
 };

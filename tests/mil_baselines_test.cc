@@ -8,6 +8,7 @@
 #include "eval/metrics.h"
 #include "mil/diverse_density.h"
 #include "mil/mi_svm.h"
+#include "retrieval/engine_registry.h"
 
 namespace mivid {
 namespace {
@@ -91,6 +92,24 @@ TEST(DiverseDensityTest, RequiresRelevantBag) {
   MilDataset ds = MakeCorpus(8, {1}, 17);
   DiverseDensityEngine engine(&ds, DiverseDensityOptions{});
   EXPECT_TRUE(engine.Learn().IsFailedPrecondition());
+}
+
+TEST(DiverseDensityTest, RetrainWaitsForARelevantBag) {
+  const std::set<int> hot{1, 4, 7};
+  MilDataset ds = MakeCorpus(12, hot, 31);
+  Result<std::unique_ptr<RetrievalEngine>> engine =
+      MakeRetrievalEngine("dd", &ds, EngineConfig{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->name(), "dd");
+  EXPECT_TRUE((*engine)->Retrain().ok());
+  EXPECT_FALSE((*engine)->trained());
+  ASSERT_TRUE((*engine)->SetLabels({{0, BagLabel::kIrrelevant}}).ok());
+  EXPECT_TRUE((*engine)->Retrain().ok());
+  EXPECT_FALSE((*engine)->trained()) << "negatives alone define no concept";
+
+  ASSERT_TRUE((*engine)->SetLabels({{1, BagLabel::kRelevant}}).ok());
+  EXPECT_TRUE((*engine)->Retrain().ok());
+  EXPECT_TRUE((*engine)->trained());
 }
 
 TEST(DiverseDensityTest, ConceptLandsNearPlantedSignature) {

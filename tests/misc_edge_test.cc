@@ -1,13 +1,12 @@
 // Assorted edge-case coverage: degenerate SVM configurations, session
-// bounds, query-engine options, homography inverses, scaler dimensions,
-// experiment smoothing option, and whole-experiment determinism.
+// bounds, query-engine options, scaler dimensions, experiment smoothing
+// option, and whole-experiment determinism.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
-#include "geometry/homography.h"
 #include "retrieval/session.h"
 #include "svm/one_class_svm.h"
 
@@ -90,21 +89,6 @@ TEST(SessionEdgeTest, RestoreOnEmptyLabelsIsHarmless) {
   EXPECT_EQ(session.round(), 7);
 }
 
-TEST(HomographyEdgeTest, SingularMatrixHasNoInverse) {
-  Matrix m(3, 3);  // all zeros
-  Homography h(m);
-  EXPECT_FALSE(h.Inverse().ok());
-}
-
-TEST(HomographyEdgeTest, PointOnLineAtInfinity) {
-  Matrix m = Matrix::Identity(3);
-  m.At(2, 0) = 1.0;
-  m.At(2, 2) = 0.0;  // w = x; the y axis maps to infinity
-  Homography h(m);
-  const Point2 far = h.Apply({0.0, 5.0});
-  EXPECT_GT(far.Norm(), 1e10);
-}
-
 TEST(ExperimentEdgeTest, SmoothedPipelineRuns) {
   TunnelScenarioOptions scenario_options;
   scenario_options.total_frames = 600;
@@ -159,36 +143,6 @@ TEST(ExperimentEdgeTest, FullProtocolIsDeterministic) {
   for (size_t i = 0; i < a->curves.size(); ++i) {
     EXPECT_EQ(a->curves[i].accuracy, b->curves[i].accuracy);
   }
-}
-
-TEST(MilRfEdgeTest, TrainingScoreFloorDropsFeaturelessBags) {
-  // Two relevant bags: one with a strong signature, one whose best TS is
-  // featureless. With the floor, only the strong one trains the model.
-  MilDataset ds;
-  for (int b = 0; b < 3; ++b) {
-    MilBag bag;
-    bag.id = b;
-    MilInstance inst;
-    inst.bag_id = b;
-    inst.instance_id = 0;
-    inst.features = b == 0 ? Vec{0.9, 0.8, 0.7} : Vec{0.001, 0.001, 0.001};
-    inst.raw_features = inst.features;
-    bag.instances.push_back(inst);
-    ds.AddBag(std::move(bag));
-  }
-  (void)ds.SetLabel(0, BagLabel::kRelevant);
-  (void)ds.SetLabel(1, BagLabel::kRelevant);
-
-  MilRfOptions with_floor;
-  with_floor.min_training_score = 0.1;
-  MilRfEngine floored(&ds, with_floor);
-  ASSERT_TRUE(floored.Learn().ok());
-  EXPECT_EQ(floored.last_training_size(), 1u);
-
-  MilRfOptions no_floor;
-  MilRfEngine unfloored(&ds, no_floor);
-  ASSERT_TRUE(unfloored.Learn().ok());
-  EXPECT_EQ(unfloored.last_training_size(), 2u);
 }
 
 TEST(MilRfEdgeTest, AutoSigmaDegenerateTrainingKeepsDefault) {

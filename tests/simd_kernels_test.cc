@@ -594,7 +594,7 @@ TEST(PackedRankingTest, DiverseDensityRankEqualsPerVecLikelihoods) {
   for (const int tier : AvailableTiers()) {
     SCOPED_TRACE(tier);
     SetSimdTier(tier);
-    const MilDataset ds = MakeRankingCorpus();
+    MilDataset ds = MakeRankingCorpus();
     DiverseDensityOptions options;
     options.max_starts = 4;
     DiverseDensityEngine engine(&ds, options);

@@ -17,6 +17,8 @@
 #   4. Opens a multi-camera session on the 3-worker fleet and on a
 #      1-worker "fleet" over another copy of the database: the merged
 #      scatter-gather ranking must be identical regardless of sharding.
+#   5. SIGKILLs the 1-worker fleet's coordinator: the worker it spawned
+#      must exit within 5 s instead of running on as an orphan.
 #
 # usage: tools/cluster_smoke.sh <build-dir> [work-dir]
 set -euo pipefail
@@ -249,8 +251,25 @@ grep -q '"slow":true' "$WORK_DIR/coord.slow.log" \
 grep -q '"slow":true' "$WORK_DIR"/worker*.slow.log \
   || fail "no worker slow-query entry"
 
+echo "== SIGKILLed coordinator: its spawned worker must not outlive it =="
+ONE_WORKER_PID=$(pgrep -P "$ONE_COORD_PID" | head -1 || true)
+[ -n "$ONE_WORKER_PID" ] \
+  || fail "no spawned worker under coordinator pid $ONE_COORD_PID"
+PIDS+=("$ONE_WORKER_PID")
+kill -9 "$ONE_COORD_PID"
+wait "$ONE_COORD_PID" 2>/dev/null || true
+# A zombie counts as gone: the runner's init may not reap orphans at once.
+WORKER_GONE=""
+for _ in $(seq 1 50); do
+  case "$(ps -o stat= -p "$ONE_WORKER_PID" 2>/dev/null || true)" in
+    "" | Z*) WORKER_GONE=1; break ;;
+  esac
+  sleep 0.1
+done
+[ -n "$WORKER_GONE" ] \
+  || fail "spawned worker $ONE_WORKER_PID outlived its SIGKILLed coordinator"
+
 echo "== graceful shutdown =="
 "$CLIENT" "$COORD_SOCK" '{"cmd":"shutdown"}' >/dev/null
-"$CLIENT" "$ONE_SOCK" '{"cmd":"shutdown"}' >/dev/null
 
 echo "PASS: cluster smoke ($WORK_DIR)"
