@@ -20,42 +20,6 @@ namespace {
 
 constexpr int kAcceptPollMs = 100;
 
-/// Stable span names for tracing coordinator-side command handling
-/// (literals — span names must outlive the trace buffer).
-const char* CoordSpanName(ServeCmd cmd) {
-  switch (cmd) {
-    case ServeCmd::kOpen:
-      return "coord/open";
-    case ServeCmd::kRank:
-      return "coord/rank";
-    case ServeCmd::kFeedback:
-      return "coord/feedback";
-    case ServeCmd::kSave:
-      return "coord/save";
-    case ServeCmd::kClose:
-      return "coord/close";
-    case ServeCmd::kStats:
-      return "coord/stats";
-    case ServeCmd::kShutdown:
-      return "coord/shutdown";
-    case ServeCmd::kPing:
-      return "coord/ping";
-    case ServeCmd::kMetrics:
-      return "coord/metrics";
-    case ServeCmd::kClusterStats:
-      return "coord/cluster_stats";
-    case ServeCmd::kTraceDump:
-      return "coord/trace_dump";
-    case ServeCmd::kIngest:
-      return "coord/ingest";
-    case ServeCmd::kRefresh:
-      return "coord/refresh";
-    case ServeCmd::kPublish:
-      return "coord/publish";
-  }
-  return "coord/other";
-}
-
 /// The trace context of the request being handled on this thread (set by
 /// HandleLine for the duration of one request). Fan-out lines built deep
 /// in the command handlers read it instead of threading a parameter
@@ -86,6 +50,16 @@ void StampDeadline(JsonLineBuilder& line, const Deadline& deadline) {
   if (deadline.infinite()) return;
   const int64_t remaining = deadline.remaining_ms();
   line.Int("deadline_ms", remaining > 0 ? remaining : 1);
+}
+
+/// ["a","b",...] with every entry escaped.
+std::string JsonStringArray(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (const std::string& item : items) {
+    if (out.size() > 1) out += ',';
+    out += '"' + JsonEscape(item) + '"';
+  }
+  return out + "]";
 }
 
 /// True when a worker response line says {"ok":true,...}.
@@ -245,7 +219,8 @@ std::string Coordinator::HandleLine(const std::string& line) {
   // client supplied no context, every line relayed or fanned out below
   // is stamped with it, so worker spans nest under the coordinator's in
   // the stitched fleet timeline.
-  ContextSpan span(CoordSpanName(req.cmd), req.trace_id, req.parent_span);
+  ContextSpan span(CoordCmdSpanName(req.cmd), req.trace_id,
+                   req.parent_span);
   RequestTraceScope trace_scope(span.active() ? &span.context() : nullptr);
   const std::string* relay = &line;
   std::string stamped;
@@ -334,12 +309,10 @@ std::string Coordinator::Route(const ServeRequest& req,
     case ServeCmd::kRank:
       return CmdRank(req, line, deadline);
     case ServeCmd::kFeedback:
-      return CmdFeedback(req, line, deadline);
     case ServeCmd::kSave:
     case ServeCmd::kClose:
-      return CmdForward(req, line, deadline);
     case ServeCmd::kRefresh:
-      return CmdRefresh(req, line, deadline);
+      return CmdSessionWrite(req, line, deadline);
     case ServeCmd::kIngest:
     case ServeCmd::kPublish:
       return CmdCameraForward(req, line, deadline);
@@ -633,132 +606,147 @@ Result<std::string> Coordinator::MirrorSub(CoordSession& session,
   return primary;
 }
 
+std::string Coordinator::SubLine(const CoordSession& session,
+                                 const SubSession& sub, ServeCmd cmd,
+                                 const std::string& relay_line,
+                                 const Deadline& deadline,
+                                 const LineFields& fields) {
+  if (session.relay) return relay_line;
+  JsonLineBuilder line;
+  line.Str("cmd", ServeCmdWireName(cmd)).Str("session", sub.sub_id);
+  for (const auto& [key, json] : fields) line.Raw(key, json);
+  StampRequestTrace(line);
+  StampDeadline(line, deadline);
+  return std::move(line).Build();
+}
+
+std::string Coordinator::WriteSubs(CoordSession& session, ServeCmd cmd,
+                                   const std::vector<std::string>& lines,
+                                   const Deadline& deadline) {
+  const char* name = ServeCmdWireName(cmd);
+  // Folded over the scattered replies: counts sum, a flag holds when any
+  // camera's does, and each camera's epoch is reported under its name.
+  std::map<std::string, int64_t> counts;
+  std::map<std::string, bool> flags;
+  std::string epochs;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].empty()) continue;
+    SubSession& sub = session.subs[i];
+    Result<std::string> response = MirrorSub(session, sub, lines[i], deadline);
+    if (!response.ok()) return ErrorResponse(response.status());
+    if (session.relay) return response.value();
+    Result<JsonValue> doc = ParseJson(response.value());
+    if (!doc.ok() || !ResponseOk(response.value())) {
+      return ErrorResponse(Status::Internal(
+          std::string(name) + " on camera '" + sub.camera +
+          "' failed: " + ResponseError(response.value())));
+    }
+    for (const char* key : {"bags", "labeled"}) {
+      const JsonValue* count = doc.value().Find(key);
+      if (count != nullptr && count->is_number()) {
+        counts[key] += static_cast<int64_t>(count->number);
+      }
+    }
+    for (const char* key : {"journaled", "refreshed", "resumed"}) {
+      const JsonValue* flag = doc.value().Find(key);
+      if (flag != nullptr && flag->type == JsonValue::Type::kBool) {
+        flags[key] = flags[key] || flag->bool_value;
+      }
+    }
+    const JsonValue* epoch = doc.value().Find("epoch");
+    if (epoch != nullptr && epoch->is_number()) {
+      epochs += StrFormat("%s\"%s\":%lld", epochs.empty() ? "{" : ",",
+                          JsonEscape(sub.camera).c_str(),
+                          static_cast<long long>(epoch->number));
+    }
+  }
+
+  JsonLineBuilder out;
+  out.Bool("ok", true).Str("cmd", name).Str("session", session.id);
+  if (cmd == ServeCmd::kOpen) {
+    std::vector<std::string> cameras;
+    for (const SubSession& sub : session.subs) cameras.push_back(sub.camera);
+    out.Raw("cameras", JsonStringArray(cameras)).Str("engine", session.engine);
+  } else {
+    out.Int("cameras", static_cast<int64_t>(session.subs.size()));
+  }
+  for (const auto& [key, count] : counts) out.Int(key, count);
+  for (const auto& [key, flag] : flags) out.Bool(key, flag);
+  if (!epochs.empty()) out.Raw("epochs", epochs + "}");
+  return std::move(out).Build();
+}
+
 std::string Coordinator::CmdOpen(const ServeRequest& req,
                                  const std::string& line,
                                  const Deadline& deadline) {
-  const bool multi = !req.cameras.empty();
-  if (!multi && req.camera_id.empty()) {
+  const bool relay = req.cameras.empty();
+  if (relay && req.camera_id.empty()) {
     return ErrorResponse(
         Status::InvalidArgument("open requires a camera (or cameras)"));
+  }
+  const std::vector<std::string> cameras =
+      relay ? std::vector<std::string>{req.camera_id} : req.cameras;
+
+  // Place every camera before the session exists, so a rejected open
+  // leaves nothing behind: one sub-session per camera on its owners.
+  std::vector<SubSession> subs;
+  for (const std::string& camera : cameras) {
+    const std::string sub_id =
+        relay ? req.session_id : req.session_id + "-" + camera;
+    if (!ValidSessionId(sub_id)) {
+      return ErrorResponse(Status::InvalidArgument(
+          "camera '" + camera + "' does not yield a valid sub-session "
+          "id ('" + sub_id + "' must be 1..64 chars of [A-Za-z0-9._-])"));
+    }
+    for (const SubSession& placed : subs) {
+      if (placed.camera == camera) {
+        return ErrorResponse(Status::InvalidArgument(
+            "camera '" + camera + "' is listed twice"));
+      }
+    }
+    Result<std::vector<std::string>> placed = PlaceCamera(camera);
+    if (!placed.ok()) return ErrorResponse(placed.status());
+    subs.push_back(SubSession{camera, std::move(placed).value(), sub_id});
   }
 
   std::shared_ptr<CoordSession> session;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(req.session_id);
-    if (it != sessions_.end()) {
-      session = it->second;
-    } else {
-      session = std::make_shared<CoordSession>();
-      session->id = req.session_id;
-      session->engine = req.engine;
-      session->multi = multi;
-      sessions_[req.session_id] = session;
+    std::shared_ptr<CoordSession>& slot = sessions_[req.session_id];
+    if (slot == nullptr) {
+      slot = std::make_shared<CoordSession>();
+      slot->id = req.session_id;
+      slot->engine = req.engine;
+      slot->relay = relay;
+      slot->subs = std::move(subs);
     }
+    session = slot;
   }
   std::lock_guard<std::mutex> session_lock(session->mu);
-  if (session->multi != multi) {
+  bool same_cameras =
+      session->relay == relay && session->subs.size() == cameras.size();
+  for (size_t i = 0; same_cameras && i < cameras.size(); ++i) {
+    same_cameras = session->subs[i].camera == cameras[i];
+  }
+  if (!same_cameras) {
     return ErrorResponse(Status::AlreadyExists(
         "session '" + req.session_id +
-        "' is already open with a different camera layout"));
+        "' is already open on a different camera list"));
   }
 
-  auto drop_session = [this, &req] {
+  // A relay session's worker answers the client's own line, so its reply
+  // is the one a single-process server would send; the line is mirrored
+  // to the camera's other replicas so any of them can serve rank.
+  std::vector<std::string> lines;
+  for (const SubSession& sub : session->subs) {
+    lines.push_back(relay ? line : OpenLineFor(*session, sub));
+  }
+  std::string reply = WriteSubs(*session, ServeCmd::kOpen, lines, deadline);
+  if (!ResponseOk(reply)) {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.erase(req.session_id);
-  };
-
-  if (!multi) {
-    // Single-camera: passthrough. The worker's response is relayed
-    // byte-for-byte, so clients cannot tell the fleet from one process.
-    // The same open line is mirrored to the camera's other replicas so
-    // any of them can serve rank.
-    if (session->subs.empty()) {
-      Result<std::vector<std::string>> placed = PlaceCamera(req.camera_id);
-      if (!placed.ok()) {
-        drop_session();
-        return ErrorResponse(placed.status());
-      }
-      session->subs.push_back(SubSession{
-          req.camera_id, std::move(placed).value(), req.session_id});
-    } else if (session->subs[0].camera != req.camera_id) {
-      return ErrorResponse(Status::AlreadyExists(
-          "session '" + req.session_id + "' is already open on camera '" +
-          session->subs[0].camera + "'"));
-    }
-    Result<std::string> response =
-        MirrorSub(*session, session->subs[0], line, deadline);
-    if (!response.ok()) {
-      drop_session();
-      return ErrorResponse(response.status());
-    }
-    if (!ResponseOk(response.value())) drop_session();
-    return response.value();
   }
-
-  // Multi-camera: one sub-session per camera on that camera's owners.
-  if (session->subs.empty()) {
-    for (const std::string& camera : req.cameras) {
-      const std::string sub_id = req.session_id + "-" + camera;
-      if (!ValidSessionId(sub_id)) {
-        drop_session();
-        return ErrorResponse(Status::InvalidArgument(
-            "camera '" + camera + "' does not yield a valid sub-session "
-            "id ('" + sub_id + "' must be 1..64 chars of [A-Za-z0-9._-])"));
-      }
-      Result<std::vector<std::string>> placed = PlaceCamera(camera);
-      if (!placed.ok()) {
-        drop_session();
-        return ErrorResponse(placed.status());
-      }
-      session->subs.push_back(
-          SubSession{camera, std::move(placed).value(), sub_id});
-    }
-  }
-
-  int64_t total_bags = 0;
-  bool resumed = false;
-  for (SubSession& sub : session->subs) {
-    Result<std::string> response =
-        MirrorSub(*session, sub, OpenLineFor(*session, sub), deadline);
-    if (!response.ok()) {
-      drop_session();
-      return ErrorResponse(response.status());
-    }
-    if (!ResponseOk(response.value())) {
-      drop_session();
-      return ErrorResponse(Status::FailedPrecondition(
-          "open of camera '" + sub.camera +
-          "' failed: " + ResponseError(response.value())));
-    }
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (doc.ok()) {
-      const JsonValue* bags = doc.value().Find("bags");
-      if (bags != nullptr && bags->is_number()) {
-        total_bags += static_cast<int64_t>(bags->number);
-      }
-      const JsonValue* was_resumed = doc.value().Find("resumed");
-      if (was_resumed != nullptr && was_resumed->bool_value) resumed = true;
-    }
-  }
-
-  std::string cameras = "[";
-  for (size_t i = 0; i < session->subs.size(); ++i) {
-    if (i > 0) cameras += ',';
-    cameras += '"';
-    cameras += JsonEscape(session->subs[i].camera);
-    cameras += '"';
-  }
-  cameras += ']';
-  JsonLineBuilder out;
-  out.Bool("ok", true)
-      .Str("cmd", "open")
-      .Str("session", session->id)
-      .Raw("cameras", cameras)
-      .Str("engine", session->engine)
-      .Int("bags", total_bags)
-      .Bool("resumed", resumed);
-  return std::move(out).Build();
+  return reply;
 }
 
 std::string Coordinator::CmdRank(const ServeRequest& req,
@@ -772,7 +760,9 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
   }
   std::lock_guard<std::mutex> session_lock(session->mu);
 
-  if (!session->multi) {
+  // A relay rank needs no write mirrored and no merge: it goes to the
+  // camera's fastest replica and its reply comes back verbatim.
+  if (session->relay) {
     Result<std::string> response =
         CallSub(*session, session->subs[0], line, deadline,
                 /*prefer_fastest=*/true);
@@ -806,18 +796,16 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
     RequestTraceScope scatter_scope(
         scatter_span.active() ? &scatter_span.context() : nullptr);
 
+    const LineFields top = {
+        {"top", std::to_string(req.top < 0 ? -1 : static_cast<int64_t>(k))}};
     std::vector<std::future<Result<std::string>>> futures;
     futures.reserve(session->subs.size());
     for (SubSession& sub : session->subs) {
-      JsonLineBuilder sub_line;
-      sub_line.Str("cmd", "rank").Str("session", sub.sub_id).Int(
-          "top", req.top < 0 ? -1 : static_cast<int64_t>(k));
-      StampRequestTrace(sub_line);
-      StampDeadline(sub_line, deadline);
       futures.push_back(std::async(
           std::launch::async,
           [this, &session, &sub, deadline,
-           request = std::move(sub_line).Build()] {
+           request = SubLine(*session, sub, ServeCmd::kRank, line, deadline,
+                             top)] {
             return CallSub(*session, sub, request, deadline,
                            /*prefer_fastest=*/true);
           }));
@@ -900,216 +888,76 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
       .Raw("ranking", items);
   if (!missing_cameras.empty()) {
     MIVID_METRIC_COUNT("cluster/degraded_responses", 1);
-    std::string missing = "[";
-    for (size_t i = 0; i < missing_cameras.size(); ++i) {
-      if (i > 0) missing += ',';
-      missing += '"';
-      missing += JsonEscape(missing_cameras[i]);
-      missing += '"';
-    }
-    missing += ']';
-    out.Raw("degraded", "{\"missing_cameras\":" + missing + "}");
+    out.Raw("degraded", "{\"missing_cameras\":" +
+                            JsonStringArray(missing_cameras) + "}");
   }
   return std::move(out).Build();
 }
 
-std::string Coordinator::CmdFeedback(const ServeRequest& req,
-                                     const std::string& line,
-                                     const Deadline& deadline) {
+std::string Coordinator::CmdSessionWrite(const ServeRequest& req,
+                                         const std::string& line,
+                                         const Deadline& deadline) {
   std::shared_ptr<CoordSession> session = FindSession(req.session_id);
   if (session == nullptr) {
     return ErrorResponse(
         Status::NotFound("session '" + req.session_id + "' is not open"));
   }
-  std::lock_guard<std::mutex> session_lock(session->mu);
-
-  if (!session->multi) {
-    Result<std::string> response =
-        MirrorSub(*session, session->subs[0], line, deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return response.value();
-  }
-
-  // Group labels by camera, preserving input order within each group.
-  std::map<std::string, std::string> per_camera;  // camera -> labels json
-  for (size_t i = 0; i < req.labels.size(); ++i) {
-    const std::string& camera = req.label_cameras[i];
-    if (camera.empty()) {
-      return ErrorResponse(Status::InvalidArgument(
-          "label entries in a multi-camera session need a \"camera\""));
-    }
-    std::string& items = per_camera[camera];
-    if (items.empty()) {
-      items = "[";
-    } else {
-      items += ',';
-    }
-    items += StrFormat("{\"bag\":%d,\"label\":\"%s\"}", req.labels[i].first,
-                       BagLabelWireName(req.labels[i].second));
-  }
-
-  int64_t labeled = 0;
-  for (auto& [camera, items] : per_camera) {
-    SubSession* sub = nullptr;
-    for (SubSession& candidate : session->subs) {
-      if (candidate.camera == camera) {
-        sub = &candidate;
-        break;
-      }
-    }
-    if (sub == nullptr) {
-      return ErrorResponse(Status::InvalidArgument(
-          "camera '" + camera + "' is not part of session '" + session->id +
-          "'"));
-    }
-    items += ']';
-    JsonLineBuilder sub_line;
-    sub_line.Str("cmd", "feedback").Str("session", sub->sub_id).Raw(
-        "labels", items);
-    StampRequestTrace(sub_line);
-    StampDeadline(sub_line, deadline);
-    Result<std::string> response =
-        MirrorSub(*session, *sub, std::move(sub_line).Build(), deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(response.value())) {
-      return ErrorResponse(Status::Internal(
-          "feedback on camera '" + camera +
-          "' failed: " + ResponseError(response.value())));
-    }
-    const JsonValue* count = doc.value().Find("labeled");
-    if (count != nullptr && count->is_number()) {
-      labeled += static_cast<int64_t>(count->number);
-    }
-  }
-
-  JsonLineBuilder out;
-  out.Bool("ok", true)
-      .Str("cmd", "feedback")
-      .Str("session", session->id)
-      .Int("labeled", labeled)
-      .Bool("journaled", true);
-  return std::move(out).Build();
-}
-
-std::string Coordinator::CmdForward(const ServeRequest& req,
-                                    const std::string& line,
-                                    const Deadline& deadline) {
-  std::shared_ptr<CoordSession> session = FindSession(req.session_id);
-  if (session == nullptr) {
-    return ErrorResponse(
-        Status::NotFound("session '" + req.session_id + "' is not open"));
-  }
-  const bool closing = req.cmd == ServeCmd::kClose;
-  std::string response_line;
+  std::string reply;
   {
     std::lock_guard<std::mutex> session_lock(session->mu);
-    if (!session->multi) {
-      Result<std::string> response =
-          MirrorSub(*session, session->subs[0], line, deadline);
-      if (!response.ok()) return ErrorResponse(response.status());
-      response_line = response.value();
-    } else {
-      const char* cmd = closing ? "close" : "save";
-      for (SubSession& sub : session->subs) {
-        JsonLineBuilder sub_line;
-        sub_line.Str("cmd", cmd).Str("session", sub.sub_id);
-        if (closing) sub_line.Bool("discard", req.discard);
-        StampRequestTrace(sub_line);
-        StampDeadline(sub_line, deadline);
-        Result<std::string> response =
-            MirrorSub(*session, sub, std::move(sub_line).Build(), deadline);
-        if (!response.ok()) return ErrorResponse(response.status());
-        if (!ResponseOk(response.value())) {
-          return ErrorResponse(Status::Internal(
-              std::string(cmd) + " on camera '" + sub.camera +
-              "' failed: " + ResponseError(response.value())));
+    const std::vector<SubSession>& subs = session->subs;
+    std::vector<std::string> lines;
+    if (req.cmd == ServeCmd::kFeedback && !session->relay) {
+      // Group labels by camera, in input order within each group. Every
+      // label's camera is checked before any sub-session sees a line, so
+      // a rejected request changes nothing.
+      std::vector<std::string> labels(subs.size());
+      for (size_t i = 0; i < req.labels.size(); ++i) {
+        const std::string& camera = req.label_cameras[i];
+        if (camera.empty()) {
+          return ErrorResponse(Status::InvalidArgument(
+              "label entries in a multi-camera session need a \"camera\""));
+        }
+        const auto sub = std::find_if(
+            subs.begin(), subs.end(),
+            [&camera](const SubSession& s) { return s.camera == camera; });
+        if (sub == subs.end()) {
+          return ErrorResponse(Status::InvalidArgument(
+              "camera '" + camera + "' is not part of session '" +
+              session->id + "'"));
+        }
+        std::string& items = labels[sub - subs.begin()];
+        items += items.empty() ? '[' : ',';
+        items += StrFormat("{\"bag\":%d,\"label\":\"%s\"}",
+                           req.labels[i].first,
+                           BagLabelWireName(req.labels[i].second));
+      }
+      // A camera no label names gets no line.
+      for (size_t i = 0; i < subs.size(); ++i) {
+        if (labels[i].empty()) {
+          lines.emplace_back();
+        } else {
+          lines.push_back(SubLine(*session, subs[i], req.cmd, line, deadline,
+                                  {{"labels", labels[i] + "]"}}));
         }
       }
-      JsonLineBuilder out;
-      out.Bool("ok", true)
-          .Str("cmd", cmd)
-          .Str("session", session->id)
-          .Int("cameras", static_cast<int64_t>(session->subs.size()));
-      if (closing) out.Bool("journaled", !req.discard);
-      response_line = std::move(out).Build();
+    } else {
+      LineFields fields;
+      if (req.cmd == ServeCmd::kClose) {
+        fields.emplace_back("discard", req.discard ? "true" : "false");
+      }
+      for (const SubSession& sub : subs) {
+        lines.push_back(
+            SubLine(*session, sub, req.cmd, line, deadline, fields));
+      }
     }
+    reply = WriteSubs(*session, req.cmd, lines, deadline);
   }
-  if (closing && ResponseOk(response_line)) {
+  if (req.cmd == ServeCmd::kClose && ResponseOk(reply)) {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.erase(req.session_id);
   }
-  return response_line;
-}
-
-std::string Coordinator::CmdRefresh(const ServeRequest& req,
-                                    const std::string& line,
-                                    const Deadline& deadline) {
-  std::shared_ptr<CoordSession> session = FindSession(req.session_id);
-  if (session == nullptr) {
-    return ErrorResponse(
-        Status::NotFound("session '" + req.session_id + "' is not open"));
-  }
-  std::lock_guard<std::mutex> session_lock(session->mu);
-
-  if (!session->multi) {
-    // Refresh re-pins in-memory state, so it is mirrored like the other
-    // write-path commands: every replica moves to the latest epoch it
-    // can see, keeping rank consistent whichever replica answers.
-    Result<std::string> response =
-        MirrorSub(*session, session->subs[0], line, deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return response.value();
-  }
-
-  int64_t total_bags = 0;
-  bool refreshed = false;
-  std::string epochs = "{";
-  bool first = true;
-  for (SubSession& sub : session->subs) {
-    JsonLineBuilder sub_line;
-    sub_line.Str("cmd", "refresh").Str("session", sub.sub_id);
-    StampRequestTrace(sub_line);
-    StampDeadline(sub_line, deadline);
-    Result<std::string> response =
-        MirrorSub(*session, sub, std::move(sub_line).Build(), deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(response.value())) {
-      return ErrorResponse(Status::Internal(
-          "refresh on camera '" + sub.camera +
-          "' failed: " + ResponseError(response.value())));
-    }
-    if (!first) epochs += ',';
-    first = false;
-    const JsonValue* epoch = doc.value().Find("epoch");
-    epochs += '"';
-    epochs += JsonEscape(sub.camera);
-    epochs += "\":";
-    epochs += std::to_string(epoch != nullptr && epoch->is_number()
-                                 ? static_cast<int64_t>(epoch->number)
-                                 : 0);
-    const JsonValue* bags = doc.value().Find("bags");
-    if (bags != nullptr && bags->is_number()) {
-      total_bags += static_cast<int64_t>(bags->number);
-    }
-    const JsonValue* moved = doc.value().Find("refreshed");
-    if (moved != nullptr && moved->type == JsonValue::Type::kBool &&
-        moved->bool_value) {
-      refreshed = true;
-    }
-  }
-  epochs += '}';
-
-  JsonLineBuilder out;
-  out.Bool("ok", true)
-      .Str("cmd", "refresh")
-      .Str("session", session->id)
-      .Int("cameras", static_cast<int64_t>(session->subs.size()))
-      .Int("bags", total_bags)
-      .Bool("refreshed", refreshed)
-      .Raw("epochs", epochs);
-  return std::move(out).Build();
+  return reply;
 }
 
 std::string Coordinator::CmdCameraForward(const ServeRequest& req,
@@ -1186,19 +1034,11 @@ std::string Coordinator::CmdStats() {
   }
   workers += ']';
 
-  std::string ids = "[";
+  std::vector<std::string> ids;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    bool first_id = true;
-    for (const auto& [id, session] : sessions_) {
-      if (!first_id) ids += ',';
-      first_id = false;
-      ids += '"';
-      ids += JsonEscape(id);
-      ids += '"';
-    }
+    for (const auto& [id, session] : sessions_) ids.push_back(id);
   }
-  ids += ']';
 
   JsonLineBuilder out;
   out.Bool("ok", true)
@@ -1208,7 +1048,7 @@ std::string Coordinator::CmdStats() {
            static_cast<int64_t>(registry_.AliveEndpoints().size()))
       .Raw("workers", workers)
       .Int("sessions_open", static_cast<int64_t>(session_count()))
-      .Raw("sessions", ids);
+      .Raw("sessions", JsonStringArray(ids));
   return std::move(out).Build();
 }
 

@@ -5,16 +5,22 @@
 // same NDJSON protocol as a single worker. Clients do not know the
 // fleet exists:
 //
-//  * open/feedback/save/close route to the session's home worker — the
-//    consistent-hash owner of the session's camera.
-//  * rank on a single-camera session is pure passthrough: the worker's
-//    response line is relayed byte-for-byte, so a client sees exactly
-//    what a single-process mivid_serve would have sent.
-//  * open with "cameras":[...] spans a session over several corpora:
-//    the coordinator opens one sub-session per camera (id "<id>-<cam>")
-//    on that camera's owner, scatters rank across the owners in
-//    parallel, and merges the exact per-corpus top-k (cluster/merger.h)
-//    into one camera-tagged ranking.
+//  * Every session is a set of sub-sessions, one per camera, each on
+//    the consistent-hash owner(s) of its camera. Every session command
+//    takes one fan-out path over them; a single-camera session is simply
+//    the one-camera case.
+//  * A session opened with "camera" is a relay: its one sub-session
+//    carries the session's own id, the client's line goes to the worker
+//    untouched and the worker's reply is relayed byte-for-byte, so a
+//    client sees exactly what a single-process mivid_serve would send.
+//  * A session opened with "cameras":[...] scatters: the coordinator
+//    opens one sub-session per camera (id "<id>-<cam>"; a camera listed
+//    twice is rejected), scatters rank across the owners in parallel and
+//    merges the exact per-corpus top-k (cluster/merger.h) into one
+//    camera-tagged ranking. Writes (feedback, save, close, refresh) go to
+//    each camera in turn and their replies are folded into one; feedback
+//    is checked label by label before any camera sees it, so a rejected
+//    request changes nothing.
 //
 // Failover: a transport error marks the worker dead and removes it from
 // the ring. Affected sessions are not touched eagerly — the next
@@ -33,12 +39,12 @@
 //    so a hung worker costs one budget slice, not a stuck fleet.
 //  * Replication: with replication > 1 each camera's sub-session is
 //    opened on that many distinct ring owners. Writes (open, feedback,
-//    save, close) go to the primary and are mirrored best-effort to the
-//    other replicas; since replicas share the db and feedback journaling
-//    rewrites the full deterministic session state, mirrored writes are
-//    idempotent. rank routes to the fastest live replica (EWMA latency)
-//    and retries the next one when a slice of the budget expires — a
-//    hedged retry.
+//    save, close, refresh) go to the primary and are mirrored
+//    best-effort to the other replicas; since replicas share the db and
+//    feedback journaling rewrites the full deterministic session state,
+//    mirrored writes are idempotent. rank routes to the fastest live
+//    replica (EWMA latency) and retries the next one when a slice of the
+//    budget expires — a hedged retry.
 //  * Degraded responses: a multi-camera rank whose camera has no live
 //    replica left returns the merged ranking of the surviving cameras
 //    plus "degraded":{"missing_cameras":[...]} instead of failing the
@@ -54,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.h"
@@ -138,10 +145,17 @@ class Coordinator {
   struct CoordSession {
     std::string id;
     std::string engine;  ///< as requested at open ("" = worker default)
-    bool multi = false;  ///< true when opened with "cameras":[...]
+    /// Opened with "camera": its one sub-session's id is the session id,
+    /// the client's lines go to it untouched and its replies come back
+    /// verbatim. Otherwise (opened with "cameras") lines are rebuilt per
+    /// sub-session and replies are folded into one.
+    bool relay = false;
     std::vector<SubSession> subs;  ///< one per camera, open order
     std::mutex mu;  ///< serializes requests touching this session
   };
+
+  /// Extra members of a fan-out line: key and serialized JSON value.
+  using LineFields = std::vector<std::pair<const char*, std::string>>;
 
   /// HandleLine minus tracing/audit bookkeeping: routes one parsed
   /// request. `line` is the relay form (stamped with trace context and
@@ -154,15 +168,12 @@ class Coordinator {
                       const Deadline& deadline);
   std::string CmdRank(const ServeRequest& req, const std::string& line,
                       const Deadline& deadline);
-  std::string CmdFeedback(const ServeRequest& req, const std::string& line,
-                          const Deadline& deadline);
-  std::string CmdForward(const ServeRequest& req, const std::string& line,
-                         const Deadline& deadline);
-  /// refresh: re-pins the session's sub-session(s) onto their cameras'
-  /// latest epochs. Single-camera relays the line; multi-camera fans out
-  /// and reports per-camera epochs.
-  std::string CmdRefresh(const ServeRequest& req, const std::string& line,
-                         const Deadline& deadline);
+  /// feedback, save, close and refresh: one line per sub-session (a
+  /// feedback line only to the cameras its labels name), sent through
+  /// WriteSubs.
+  std::string CmdSessionWrite(const ServeRequest& req,
+                              const std::string& line,
+                              const Deadline& deadline);
   /// Camera-addressed, sessionless relay (ingest, publish): the line
   /// goes to the camera's primary ring owner only. Replicas share the
   /// db, so mirroring an ingest would double-persist every clip; they
@@ -201,6 +212,24 @@ class Coordinator {
   Result<std::string> MirrorSub(CoordSession& session, SubSession& sub,
                                 const std::string& line,
                                 const Deadline& deadline);
+
+  /// The line `sub` gets for `cmd`: `relay_line` in a relay session,
+  /// else {"cmd","session":<sub_id>,<fields>} stamped with the request's
+  /// trace context and remaining deadline.
+  static std::string SubLine(const CoordSession& session,
+                             const SubSession& sub, ServeCmd cmd,
+                             const std::string& relay_line,
+                             const Deadline& deadline,
+                             const LineFields& fields);
+
+  /// Write-path fan-out: sends each non-empty `lines[i]` to
+  /// `session.subs[i]` through MirrorSub. A relay session's reply comes
+  /// back verbatim, OK or not. Otherwise every reply must be OK, and the
+  /// reply folds them: summed "bags"/"labeled", any "resumed"/
+  /// "refreshed"/"journaled", and the per-camera "epochs".
+  std::string WriteSubs(CoordSession& session, ServeCmd cmd,
+                        const std::vector<std::string>& lines,
+                        const Deadline& deadline);
 
   /// Places `camera` on up to `options_.replication` distinct live
   /// workers. FailedPrecondition when the ring is empty.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "db/codec.h"
-#include "db/feature_store.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MIVID_HAVE_MMAP 1

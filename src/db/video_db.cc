@@ -11,6 +11,7 @@
 #include <filesystem>
 
 #include "common/fault.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "svm/model_io.h"
 

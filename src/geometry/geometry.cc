@@ -18,12 +18,6 @@ double AngleBetween(const Vec2& a, const Vec2& b) {
   return std::acos(c);
 }
 
-double WrapAngle(double radians) {
-  while (radians > M_PI) radians -= 2 * M_PI;
-  while (radians <= -M_PI) radians += 2 * M_PI;
-  return radians;
-}
-
 double BBox::IoU(const BBox& o) const {
   const double ix = std::max(0.0, std::min(max_x, o.max_x) -
                                       std::max(min_x, o.min_x));
@@ -41,12 +35,6 @@ BBox BBox::Union(const BBox& o) const {
 
 std::string BBox::ToString() const {
   return StrFormat("[%.1f,%.1f - %.1f,%.1f]", min_x, min_y, max_x, max_y);
-}
-
-double BoxDistance(const BBox& a, const BBox& b) {
-  const double dx = std::max({0.0, a.min_x - b.max_x, b.min_x - a.max_x});
-  const double dy = std::max({0.0, a.min_y - b.max_y, b.min_y - a.max_y});
-  return std::hypot(dx, dy);
 }
 
 }  // namespace mivid

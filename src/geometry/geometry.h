@@ -50,9 +50,6 @@ double Distance(const Point2& a, const Point2& b);
 /// Zero vectors yield 0 (no direction change observable).
 double AngleBetween(const Vec2& a, const Vec2& b);
 
-/// Wraps an angle to (-pi, pi].
-double WrapAngle(double radians);
-
 /// Axis-aligned bounding box (the paper's Minimal Bounding Rectangle).
 struct BBox {
   double min_x = 0.0;
@@ -91,9 +88,6 @@ struct BBox {
 
   std::string ToString() const;
 };
-
-/// Minimum distance between two boxes' interiors (0 if they touch/overlap).
-double BoxDistance(const BBox& a, const BBox& b);
 
 }  // namespace mivid
 

@@ -21,10 +21,6 @@ Result<Matrix> CholeskyFactor(const Matrix& a);
 /// Solves A x = b for SPD A via Cholesky.
 Result<Vec> CholeskySolve(const Matrix& a, const Vec& b);
 
-/// Solves the general square system A x = b via Gaussian elimination with
-/// partial pivoting. Fails with InvalidArgument on (near-)singular A.
-Result<Vec> GaussianSolve(const Matrix& a, const Vec& b);
-
 /// Least-squares solution of min |A x - b|_2 via Householder QR.
 /// Requires rows >= cols and full column rank.
 Result<Vec> LeastSquaresQR(const Matrix& a, const Vec& b);

@@ -20,33 +20,12 @@ double Variance(const Vec& v) {
   return s / static_cast<double>(v.size());
 }
 
-double SampleStdDev(const Vec& v) {
-  if (v.size() < 2) return 0.0;
-  const double m = Mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(v.size() - 1));
-}
-
-double StdDev(const Vec& v) { return std::sqrt(Variance(v)); }
-
 double Min(const Vec& v) {
   return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
 }
 
 double Max(const Vec& v) {
   return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
-}
-
-double Percentile(Vec v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
-                      static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
 }
 
 Vec ColumnMeans(const std::vector<Vec>& rows) {
@@ -70,19 +49,6 @@ Vec ColumnStdDevs(const std::vector<Vec>& rows) {
   }
   for (double& x : s) x = std::sqrt(x / static_cast<double>(rows.size()));
   return s;
-}
-
-double PearsonCorrelation(const Vec& a, const Vec& b) {
-  if (a.size() != b.size() || a.size() < 2) return 0.0;
-  const double ma = Mean(a), mb = Mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  if (da <= 0.0 || db <= 0.0) return 0.0;
-  return num / std::sqrt(da * db);
 }
 
 void RunningStats::Add(double x) {

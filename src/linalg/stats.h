@@ -16,27 +16,15 @@ double Mean(const Vec& v);
 /// Population variance (divides by n); 0 for n < 1.
 double Variance(const Vec& v);
 
-/// Sample standard deviation (divides by n-1); 0 for n < 2.
-double SampleStdDev(const Vec& v);
-
-/// Population standard deviation.
-double StdDev(const Vec& v);
-
 /// Minimum / maximum; 0 for empty input.
 double Min(const Vec& v);
 double Max(const Vec& v);
-
-/// Linear-interpolated percentile, p in [0, 100].
-double Percentile(Vec v, double p);
 
 /// Per-column mean of a set of equal-length rows.
 Vec ColumnMeans(const std::vector<Vec>& rows);
 
 /// Per-column population standard deviation of equal-length rows.
 Vec ColumnStdDevs(const std::vector<Vec>& rows);
-
-/// Pearson correlation coefficient; 0 if either side is constant.
-double PearsonCorrelation(const Vec& a, const Vec& b);
 
 /// Streaming mean/variance accumulator (Welford).
 class RunningStats {

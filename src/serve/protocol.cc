@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 
@@ -52,43 +53,40 @@ Result<BagLabel> ParseWireLabel(std::string_view name) {
       "' (expected relevant|irrelevant|unlabeled)");
 }
 
-struct CmdName {
-  const char* name;
-  ServeCmd cmd;
+/// One row per command, in ServeCmd order: wire name, whether the
+/// request must name a session, and the span names that trace its
+/// handling on a worker and on the coordinator (literals — span names
+/// must outlive the trace).
+struct CommandInfo {
+  const char* wire;
   bool needs_session;
+  const char* worker_span;
+  const char* coord_span;
 };
 
-constexpr CmdName kCommands[] = {
-    {"open", ServeCmd::kOpen, true},
-    {"rank", ServeCmd::kRank, true},
-    {"feedback", ServeCmd::kFeedback, true},
-    {"save", ServeCmd::kSave, true},
-    {"close", ServeCmd::kClose, true},
-    {"stats", ServeCmd::kStats, false},
-    {"shutdown", ServeCmd::kShutdown, false},
-    {"ping", ServeCmd::kPing, false},
-    {"metrics", ServeCmd::kMetrics, false},
-    {"cluster_stats", ServeCmd::kClusterStats, false},
-    {"trace_dump", ServeCmd::kTraceDump, false},
-    {"ingest", ServeCmd::kIngest, false},
-    {"refresh", ServeCmd::kRefresh, true},
-    {"publish", ServeCmd::kPublish, false},
+constexpr CommandInfo kCommands[] = {
+    {"open", true, "serve/open", "coord/open"},
+    {"rank", true, "serve/rank", "coord/rank"},
+    {"feedback", true, "serve/feedback", "coord/feedback"},
+    {"save", true, "serve/save", "coord/save"},
+    {"close", true, "serve/close", "coord/close"},
+    {"stats", false, "serve/stats", "coord/stats"},
+    {"shutdown", false, "serve/shutdown", "coord/shutdown"},
+    {"ping", false, "serve/ping", "coord/ping"},
+    {"metrics", false, "serve/metrics", "coord/metrics"},
+    {"cluster_stats", false, "serve/cluster_stats", "coord/cluster_stats"},
+    {"trace_dump", false, "serve/trace_dump", "coord/trace_dump"},
+    {"ingest", false, "serve/ingest", "coord/ingest"},
+    {"refresh", true, "serve/refresh", "coord/refresh"},
+    {"publish", false, "serve/publish", "coord/publish"},
 };
+static_assert(std::size(kCommands) ==
+                  static_cast<size_t>(ServeCmd::kPublish) + 1,
+              "kCommands needs one row per ServeCmd, in enum order");
 
-// Parallel to ServeCmd values: wire names and the span names used when
-// tracing the execution of each command (literals — span names must
-// outlive the trace).
-constexpr const char* kWireNames[] = {
-    "open", "rank", "feedback", "save", "close", "stats",
-    "shutdown", "ping", "metrics", "cluster_stats", "trace_dump",
-    "ingest", "refresh", "publish",
-};
-constexpr const char* kSpanNames[] = {
-    "serve/open", "serve/rank", "serve/feedback", "serve/save",
-    "serve/close", "serve/stats", "serve/shutdown", "serve/ping",
-    "serve/metrics", "serve/cluster_stats", "serve/trace_dump",
-    "serve/ingest", "serve/refresh", "serve/publish",
-};
+const CommandInfo& Command(ServeCmd cmd) {
+  return kCommands[static_cast<size_t>(cmd)];
+}
 
 /// Validates the optional "v" protocol version field: an integer major
 /// or a "major[.minor]" string. Majors must match (different major =
@@ -270,17 +268,13 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
   if (cmd_name.empty()) return FieldError("cmd", "is required");
 
   ServeRequest req;
-  const CmdName* found = nullptr;
-  for (const CmdName& c : kCommands) {
-    if (cmd_name == c.name) {
-      found = &c;
-      break;
-    }
-  }
-  if (found == nullptr) {
+  const CommandInfo* found = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&cmd_name](const CommandInfo& c) { return cmd_name == c.wire; });
+  if (found == std::end(kCommands)) {
     return Status::InvalidArgument("unknown command '" + cmd_name + "'");
   }
-  req.cmd = found->cmd;
+  req.cmd = static_cast<ServeCmd>(found - std::begin(kCommands));
 
   MIVID_ASSIGN_OR_RETURN(req.session_id, GetString(doc, "session"));
   if (found->needs_session) {
@@ -342,15 +336,13 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
   return req;
 }
 
-const char* ServeCmdWireName(ServeCmd cmd) {
-  const size_t index = static_cast<size_t>(cmd);
-  return index < std::size(kWireNames) ? kWireNames[index] : "?";
-}
+const char* ServeCmdWireName(ServeCmd cmd) { return Command(cmd).wire; }
 
 const char* ServeCmdSpanName(ServeCmd cmd) {
-  const size_t index = static_cast<size_t>(cmd);
-  return index < std::size(kSpanNames) ? kSpanNames[index] : "serve/other";
+  return Command(cmd).worker_span;
 }
+
+const char* CoordCmdSpanName(ServeCmd cmd) { return Command(cmd).coord_span; }
 
 namespace {
 

@@ -129,6 +129,10 @@ const char* ServeCmdWireName(ServeCmd cmd);
 /// Stable span name for tracing one command on a worker ("serve/rank").
 const char* ServeCmdSpanName(ServeCmd cmd);
 
+/// Stable span name for tracing one command on the coordinator
+/// ("coord/rank").
+const char* CoordCmdSpanName(ServeCmd cmd);
+
 /// Returns `line` with `"trace"`/`"span"` members appended to the
 /// top-level object — the coordinator uses it to stamp a trace context
 /// onto a request it relays verbatim. The caller must only stamp lines

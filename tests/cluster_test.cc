@@ -20,6 +20,7 @@
 #include "cluster/placement.h"
 #include "db/video_db.h"
 #include "obs/json.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
 
@@ -315,6 +316,8 @@ TEST(ClusterTest, SingleCameraSessionIsByteIdenticalPassthrough) {
       R"({"cmd":"open","session":"pass1","camera":"cam0"})",
       R"({"cmd":"rank","session":"pass1","top":5})",
       R"({"cmd":"feedback","session":"pass1","labels":[{"bag":0,"label":"relevant"},{"bag":1,"label":"irrelevant"}]})",
+      R"({"cmd":"save","session":"pass1"})",
+      R"({"cmd":"refresh","session":"pass1"})",
       R"({"cmd":"rank","session":"pass1","top":-1})",
       R"({"cmd":"close","session":"pass1","discard":true})",
   };
@@ -431,6 +434,40 @@ TEST(ClusterTest, MultiCameraRankMatchesSingleProcessPerCameraMerge) {
   }
   ASSERT_TRUE(IsOk(Parse(
       fleet.Call(R"({"cmd":"close","session":"inv1","discard":true})"))));
+}
+
+TEST(ClusterTest, DuplicateCameraOpenIsRejected) {
+  Fleet fleet;
+  const std::string response = fleet.Call(
+      R"({"cmd":"open","session":"dup1","cameras":["cam0","cam0"]})");
+  const JsonValue doc = Parse(response);
+  EXPECT_FALSE(IsOk(doc)) << response;
+  EXPECT_EQ(ResponseStatusCode(response), "INVALID_ARGUMENT") << response;
+  EXPECT_EQ(fleet.coord->session_count(), 0u);
+  EXPECT_FALSE(IsOk(Parse(fleet.Call(R"({"cmd":"rank","session":"dup1"})"))));
+}
+
+TEST(ClusterTest, RejectedMultiCameraFeedbackChangesNothing) {
+  Fleet fleet;
+  ASSERT_TRUE(IsOk(Parse(fleet.Call(
+      R"({"cmd":"open","session":"rej1","cameras":["cam0","cam1"]})"))));
+  const std::string before =
+      fleet.Call(R"({"cmd":"rank","session":"rej1","top":-1})");
+  ASSERT_TRUE(IsOk(Parse(before))) << before;
+
+  // cam0 is part of the session, zzz is not: the request is rejected as a
+  // whole, so cam0's label must not reach its sub-session either.
+  const std::string rejected = fleet.Call(
+      R"({"cmd":"feedback","session":"rej1","labels":[)"
+      R"({"bag":0,"label":"relevant","camera":"cam0"},)"
+      R"({"bag":1,"label":"relevant","camera":"zzz"}]})");
+  EXPECT_EQ(ResponseStatusCode(rejected), "INVALID_ARGUMENT") << rejected;
+
+  const std::string after =
+      fleet.Call(R"({"cmd":"rank","session":"rej1","top":-1})");
+  EXPECT_EQ(before, after);
+  ASSERT_TRUE(IsOk(Parse(
+      fleet.Call(R"({"cmd":"close","session":"rej1","discard":true})"))));
 }
 
 TEST(ClusterTest, WorkerDeathFailsOverWithIdenticalRanking) {

@@ -1,10 +1,13 @@
-// Tests for common/: Status/Result, Rng, string utilities, ASCII plots.
+// Tests for common/: Status/Result, Rng, string and file utilities, ASCII
+// plots.
 
+#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/ascii_plot.h"
+#include "common/file_util.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -185,6 +188,13 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_EQ(v, -42);
   EXPECT_FALSE(ParseInt64("4.2", &v));
   EXPECT_FALSE(ParseInt64("", &v));
+}
+
+TEST(FileUtilTest, ReadingADirectoryIsAnIOError) {
+  // fopen() succeeds on a directory; only the read fails.
+  Result<std::string> read =
+      ReadFileToString(std::filesystem::temp_directory_path().string());
+  EXPECT_TRUE(read.status().IsIOError()) << read.status().ToString();
 }
 
 TEST(AsciiPlotTest, EmptyPlotDoesNotCrash) {

@@ -52,12 +52,6 @@ TEST(AngleBetweenTest, SymmetricAndBounded) {
   EXPECT_LE(AngleBetween(a, b), M_PI);
 }
 
-TEST(WrapAngleTest, WrapsIntoHalfOpenInterval) {
-  EXPECT_NEAR(WrapAngle(3 * M_PI), M_PI, 1e-12);
-  EXPECT_NEAR(WrapAngle(-3 * M_PI), M_PI, 1e-12);
-  EXPECT_NEAR(WrapAngle(0.5), 0.5, 1e-12);
-}
-
 TEST(BBoxTest, Dimensions) {
   const BBox b(1, 2, 5, 8);
   EXPECT_DOUBLE_EQ(b.Width(), 4.0);
@@ -90,14 +84,6 @@ TEST(BBoxTest, UnionAndInflate) {
   const BBox inf = BBox(2, 2, 4, 4).Inflated(1);
   EXPECT_DOUBLE_EQ(inf.min_x, 1);
   EXPECT_DOUBLE_EQ(inf.max_x, 5);
-}
-
-TEST(BoxDistanceTest, OverlapTouchingAndSeparated) {
-  const BBox a(0, 0, 10, 10);
-  EXPECT_DOUBLE_EQ(BoxDistance(a, BBox(5, 5, 8, 8)), 0.0);   // contained
-  EXPECT_DOUBLE_EQ(BoxDistance(a, BBox(10, 0, 20, 10)), 0.0); // touching
-  EXPECT_DOUBLE_EQ(BoxDistance(a, BBox(13, 0, 20, 10)), 3.0); // axis gap
-  EXPECT_DOUBLE_EQ(BoxDistance(a, BBox(13, 14, 20, 20)), 5.0); // diagonal
 }
 
 }  // namespace

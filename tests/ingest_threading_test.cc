@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "db/feature_store.h"
+#include "common/file_util.h"
 #include "db/query_engine.h"
 #include "db/video_db.h"
 #include "ingest/camera_ingestor.h"

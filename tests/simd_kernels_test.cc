@@ -20,9 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_util.h"
 #include "common/rng.h"
 #include "db/codec.h"
-#include "db/feature_store.h"
 #include "db/packed_corpus_io.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/simd.h"

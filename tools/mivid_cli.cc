@@ -18,6 +18,7 @@
 
 #include "cluster/coordinator.h"
 #include "cluster/supervisor.h"
+#include "common/file_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -860,21 +861,6 @@ int CmdTop(const Args& args) {
   return 0;
 }
 
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::string data;
-  char buffer[1 << 16];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    data.append(buffer, n);
-  }
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IOError("read of " + path + " failed");
-  return data;
-}
-
 int CmdTraceMerge(const Args& args) {
   if (args.positional.size() < 2) {
     return BadArgs(*FindSubcommand("trace-merge"));
@@ -884,7 +870,7 @@ int CmdTraceMerge(const Args& args) {
   inputs.reserve(args.positional.size() - 1);
   for (size_t i = 1; i < args.positional.size(); ++i) {
     const std::string& path = args.positional[i];
-    Result<std::string> data = ReadWholeFile(path);
+    Result<std::string> data = ReadFileToString(path);
     if (!data.ok()) return Fail(data.status());
     Result<JsonValue> doc = ParseJson(data.value());
     if (!doc.ok()) {
@@ -906,16 +892,8 @@ int CmdTraceMerge(const Args& args) {
   }
   Result<std::string> stitched = StitchChromeTraces(inputs);
   if (!stitched.ok()) return Fail(stitched.status());
-  std::FILE* f = std::fopen(out_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Fail(Status::IOError("cannot open " + out_path));
-  }
-  const size_t written =
-      std::fwrite(stitched.value().data(), 1, stitched.value().size(), f);
-  std::fclose(f);
-  if (written != stitched.value().size()) {
-    return Fail(Status::IOError("write of " + out_path + " failed"));
-  }
+  Status written = WriteFileAtomic(out_path, stitched.value());
+  if (!written.ok()) return Fail(written);
   std::printf("stitched %zu trace(s) into %s\n", inputs.size(),
               out_path.c_str());
   return 0;
