@@ -5,8 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <filesystem>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -111,7 +114,28 @@ BENCHMARK(BM_RbfKernelRow)->Arg(256)->Arg(4096);
 // Thread count 1 exercises the serial fallback; larger counts exercise
 // the pool. Restores the default (MIVID_THREADS / hardware) afterwards.
 
+/// CPUs this process may run on, as `nproc` counts them.
+int UsableCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+/// Skips a *Threads row that asks for more threads than usable CPUs: it
+/// would time contention, not scaling. The row stays in the report with
+/// error_occurred and a "skipped: ..." message (tools/bench_diff.py reads
+/// it as a skip).
+bool SkipAboveNproc(benchmark::State& state, int64_t threads) {
+  const int cpus = UsableCpus();
+  if (threads <= cpus) return false;
+  state.SkipWithError(StrFormat("skipped: %lld threads > nproc %d",
+                                static_cast<long long>(threads), cpus)
+                          .c_str());
+  return true;
+}
+
 void BM_GramMatrixThreads(benchmark::State& state) {
+  if (SkipAboveNproc(state, state.range(1))) return;
   const size_t n = static_cast<size_t>(state.range(0));
   SetGlobalThreadCount(static_cast<int>(state.range(1)));
   const auto points = RandomPoints(n, 9, 19);
@@ -130,6 +154,7 @@ BENCHMARK(BM_GramMatrixThreads)
     ->Args({1024, 8});
 
 void BM_RankBagsThreads(benchmark::State& state) {
+  if (SkipAboveNproc(state, state.range(1))) return;
   const size_t num_bags = static_cast<size_t>(state.range(0));
   SetGlobalThreadCount(static_cast<int>(state.range(1)));
   // Corpus: num_bags bags x 8 instances of dim-9 vectors.
@@ -217,11 +242,68 @@ BENCHMARK(BM_RenderBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+void BM_RenderPrepare(benchmark::State& state) {
+  // The sequential pass of a batch: capture one frame and jump the noise
+  // stream past its 76,800 draws.
+  Renderer renderer(MakeTunnelLayout());
+  int f = 0;
+  for (auto _ : state) {
+    RenderJob job = renderer.Prepare(TwoVehicles(f++ % 300));
+    benchmark::DoNotOptimize(job);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RenderPrepare);
+
+/// One tunnel frame's 38,400 Box-Muller uniform pairs: drawn from one
+/// stream (Rng::BoxMullerUniforms), or as Renderer::Run draws them, in four
+/// lanes of 64-pair blocks under a pinned tier.
+void BM_NoiseUniforms(benchmark::State& state, bool lanes, SimdTier tier) {
+  if (lanes && tier == SimdTier::kAvx2 && !Avx2Available()) {
+    state.SkipWithError("skipped: avx2 unavailable");
+    return;
+  }
+  SetSimdTier(static_cast<int>(tier));
+  constexpr size_t kPairs = 38400;
+  constexpr size_t kLaneBlock = 64;
+  std::vector<double> u1(kPairs), u2(kPairs);
+  Rng rng(3);
+  const RngJump& lane_jump = RngJump::Cached(2 * kPairs / 4);
+  const SimdOpsTable& ops = SimdOps();
+  for (auto _ : state) {
+    if (!lanes) {
+      rng.BoxMullerUniforms(kPairs, u1.data(), u2.data());
+    } else {
+      RngState lanes[4] = {rng.state()};
+      for (int j = 1; j < 4; ++j) {
+        lanes[j] = lanes[j - 1];
+        lane_jump.Apply(&lanes[j]);
+      }
+      for (size_t b = 0; b < kPairs; b += 4 * kLaneBlock) {
+        benchmark::DoNotOptimize(ops.noise_uniform_lanes(
+            lanes, kLaneBlock, kLaneBlock, u1.data() + b, u2.data() + b));
+      }
+      rng.set_state(lanes[3]);
+    }
+    benchmark::DoNotOptimize(u1.data());
+    benchmark::DoNotOptimize(u2.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kPairs));
+  SetSimdTier(-1);
+}
+BENCHMARK_CAPTURE(BM_NoiseUniforms, serial, false, SimdTier::kScalar)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_NoiseUniforms, lanes_scalar, true, SimdTier::kScalar)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_NoiseUniforms, lanes_avx2, true, SimdTier::kAvx2)
+    ->Unit(benchmark::kMicrosecond);
+
 /// The renderer's noise kernel on its own: one tunnel frame's worth of
 /// Box-Muller pairs (320x240 pixels) under a pinned tier.
 void BM_BoxMullerRow(benchmark::State& state, SimdTier tier) {
   if (tier == SimdTier::kAvx2 && !Avx2Available()) {
-    state.SkipWithError("avx2 unavailable");
+    state.SkipWithError("skipped: avx2 unavailable");
     return;
   }
   SetSimdTier(static_cast<int>(tier));
@@ -247,7 +329,7 @@ BENCHMARK_CAPTURE(BM_BoxMullerRow, avx2, SimdTier::kAvx2)
 /// noise pairs under a pinned tier.
 void BM_QuantizeNoisyPairs(benchmark::State& state, SimdTier tier) {
   if (tier == SimdTier::kAvx2 && !Avx2Available()) {
-    state.SkipWithError("avx2 unavailable");
+    state.SkipWithError("skipped: avx2 unavailable");
     return;
   }
   SetSimdTier(static_cast<int>(tier));
@@ -280,7 +362,7 @@ BENCHMARK_CAPTURE(BM_QuantizeNoisyPairs, avx2, SimdTier::kAvx2)
 /// stripes UpdateBatch uses, under a pinned tier.
 void BM_SelectiveMeanStripe(benchmark::State& state, SimdTier tier) {
   if (tier == SimdTier::kAvx2 && !Avx2Available()) {
-    state.SkipWithError("avx2 unavailable");
+    state.SkipWithError("skipped: avx2 unavailable");
     return;
   }
   SetSimdTier(static_cast<int>(tier));
@@ -367,6 +449,7 @@ BENCHMARK(BM_BackgroundIngestBatch)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SegmentClipThreads(benchmark::State& state) {
+  if (SkipAboveNproc(state, state.range(1))) return;
   const int frames = static_cast<int>(state.range(0));
   SetGlobalThreadCount(static_cast<int>(state.range(1)));
   // Pre-render a clip with a couple of moving vehicles so SPCPE has work.
@@ -725,6 +808,7 @@ void BM_EndToEndPipeline(benchmark::State& state) {
 BENCHMARK(BM_EndToEndPipeline)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndPipelineThreads(benchmark::State& state) {
+  if (SkipAboveNproc(state, state.range(0))) return;
   SetGlobalThreadCount(static_cast<int>(state.range(0)));
   TunnelScenarioOptions scenario_options;
   scenario_options.total_frames = 400;

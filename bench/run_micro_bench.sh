@@ -32,8 +32,11 @@ if [[ ! -x "${BIN}" ]]; then
 fi
 
 # Usable CPUs and the 1/5/15-minute load average when the run starts go
-# into the JSON context: a *Threads row above nproc, or one taken on a
-# loaded machine, measures contention rather than scaling.
+# into the JSON context: a row taken on a loaded machine measures
+# contention rather than scaling. For the same reason micro_perf skips
+# every *Threads row whose thread count exceeds nproc; the row stays in
+# the JSON with error_occurred and a "skipped: N threads > nproc M"
+# message, which tools/bench_diff.py reads as a skip.
 NPROC="$(nproc)"
 LOADAVG="$(cut -d' ' -f1-3 /proc/loadavg | tr ' ' '/')"
 

@@ -1,6 +1,9 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "common/logging.h"
 
@@ -16,30 +19,11 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t x = seed;
   for (auto& s : s_) s = SplitMix64(&x);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -103,6 +87,61 @@ void Rng::SkipGaussians(size_t n) {
   if (n == 1) (void)Gaussian();
 }
 
+void Rng::Jump(const RngJump& jump) { jump.Apply(&s_); }
+
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }
+
+RngJump::RngJump(uint64_t steps) {
+  // result = M^0, power = M^(2^k); multiply in the set bits of `steps`.
+  // Powers of one matrix commute, so the order of the products is free.
+  RngJump result;
+  RngJump power;
+  for (int i = 0; i < 256; ++i) {
+    RngState bit{};
+    bit[i / 64] = uint64_t{1} << (i % 64);
+    result.columns_[i] = bit;
+    Rng step;
+    step.set_state(bit);
+    (void)step.Next();
+    power.columns_[i] = step.state();
+  }
+  power.steps_ = 1;
+  for (uint64_t left = steps;;) {
+    if (left & 1) result = result.Then(power);
+    left >>= 1;
+    if (left == 0) break;
+    power = power.Then(power);
+  }
+  *this = result;
+}
+
+const RngJump& RngJump::Cached(uint64_t steps) {
+  static std::mutex mu;
+  static std::map<uint64_t, std::unique_ptr<const RngJump>> cache;
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<const RngJump>& jump = cache[steps];
+  if (jump == nullptr) jump = std::make_unique<const RngJump>(steps);
+  return *jump;
+}
+
+void RngJump::Apply(RngState* state) const {
+  RngState out{};
+  for (int i = 0; i < 256; ++i) {
+    // All ones when bit i of the state is set: branch-free accumulation.
+    const uint64_t mask = 0 - (((*state)[i / 64] >> (i % 64)) & 1);
+    for (int w = 0; w < 4; ++w) out[w] ^= columns_[i][w] & mask;
+  }
+  *state = out;
+}
+
+RngJump RngJump::Then(const RngJump& next) const {
+  RngJump out;
+  out.steps_ = steps_ + next.steps_;
+  for (int i = 0; i < 256; ++i) {
+    out.columns_[i] = columns_[i];
+    next.Apply(&out.columns_[i]);
+  }
+  return out;
+}
 
 }  // namespace mivid

@@ -7,12 +7,18 @@
 #ifndef MIVID_COMMON_RNG_H_
 #define MIVID_COMMON_RNG_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace mivid {
+
+/// The four xoshiro256** state words, in the generator's order.
+using RngState = std::array<uint64_t, 4>;
+
+class RngJump;
 
 /// Deterministic PRNG (xoshiro256**) with convenience distributions.
 ///
@@ -23,10 +29,20 @@ class Rng {
   explicit Rng(uint64_t seed = 42);
 
   /// Next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double Uniform();
+  /// Uniform double in [0, 1): the 53 high bits of Next().
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -75,16 +91,73 @@ class Rng {
     }
   }
 
+  /// Advances the generator exactly as jump.steps() Next() calls would;
+  /// a cached Gaussian stays cached.
+  void Jump(const RngJump& jump);
+
+  /// The xoshiro256** state: where the raw stream stands.
+  const RngState& state() const { return s_; }
+
+  /// Repositions the raw stream at `state` and drops any cached Gaussian.
+  void set_state(const RngState& state) {
+    s_ = state;
+    has_cached_gaussian_ = false;
+  }
+
+  /// Same stream position: equal state and equal cached Gaussian, if any.
+  bool operator==(const Rng& other) const {
+    return s_ == other.s_ &&
+           has_cached_gaussian_ == other.has_cached_gaussian_ &&
+           (!has_cached_gaussian_ ||
+            cached_gaussian_ == other.cached_gaussian_);
+  }
+
   /// Derives an independent child generator (for per-component streams).
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   /// Draws one pair's uniforms exactly as a fresh Gaussian() does.
   void DrawPairUniforms(double* u1, double* u2);
 
-  uint64_t s_[4];
+  RngState s_;
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
+};
+
+/// The xoshiro256** state transition raised to a fixed power: a 256x256
+/// matrix over GF(2) (8 KiB), since every step is linear in the state
+/// bits. Applying it advances a generator by steps() Next() calls in 256
+/// masked XORs of four words, however large steps() is (Haramoto et al.,
+/// "Efficient Jump Ahead for F2-Linear Random Number Generators", 2008).
+class RngJump {
+ public:
+  /// The jump by `steps` Next() calls, by square-and-multiply of the
+  /// one-step matrix (~20 matrix products for 2^16 steps).
+  explicit RngJump(uint64_t steps);
+
+  /// The jump by `steps`, built on first use and then shared by the whole
+  /// process. Thread-safe; the reference stays valid until exit.
+  static const RngJump& Cached(uint64_t steps);
+
+  uint64_t steps() const { return steps_; }
+
+  /// Advances `state` by steps() Next() calls.
+  void Apply(RngState* state) const;
+
+  /// The jump by steps() + next.steps(): this one, then `next`.
+  RngJump Then(const RngJump& next) const;
+
+ private:
+  RngJump() = default;
+
+  uint64_t steps_ = 0;
+  /// Column i: the image of the state with only bit i (word i / 64,
+  /// bit i % 64) set.
+  std::array<RngState, 256> columns_;
 };
 
 }  // namespace mivid

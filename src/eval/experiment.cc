@@ -28,7 +28,7 @@ constexpr size_t kSegmentBatchFrames = 64;
 /// Per batch, only the cheap passes are sequential:
 ///  1. step the world and Renderer::Prepare each frame in order;
 ///  2. render the frames in parallel (while one task runs pass 1 for the
-///     next batch);
+///     next batch), then certify their noise streams (Renderer::Resync);
 ///  3. advance the background model through the batch in parallel pixel
 ///     stripes (VehicleSegmenter::IngestBatch);
 ///  4. refine (SPCPE/cleanup/blobs) frames in parallel, then track them
@@ -56,6 +56,9 @@ std::vector<Track> VisionTracks(const ScenarioSpec& scenario) {
     }
   };
   std::vector<PendingSegmentation> batch(kSegmentBatchFrames);
+  std::vector<Frame*> frames;
+  for (PendingSegmentation& pending : batch) frames.push_back(&pending.frame);
+  std::vector<Rng> ends(kSegmentBatchFrames);
   std::vector<std::vector<Blob>> blobs(kSegmentBatchFrames);
   // Each iteration processes the current batch (empty on the first) while
   // preparing the next one.
@@ -75,10 +78,12 @@ std::vector<Track> VisionTracks(const ScenarioSpec& scenario) {
           if (i == 0) {
             prepare(&next);
           } else {
-            renderer.Run(current.jobs[i - 1], &batch[i - 1].frame);
+            ends[i - 1] = renderer.Run(current.jobs[i - 1], frames[i - 1]);
           }
         }
       });
+      renderer.Resync(std::span(current.jobs), std::span(ends).first(n),
+                      std::span(frames).first(n), std::span(next.jobs));
     }
     {
       MIVID_TRACE_SPAN("eval/ingest_batch");

@@ -2,8 +2,8 @@
 // and for the per-pixel passes of the vision front end.
 //
 // Every numeric hot path (squared-distance rows, RBF kernel rows, the SMO
-// axpy updates, and the pixel kernels: render-noise Box-Muller and
-// quantization, the selective-mean background stripe) funnels through the
+// axpy updates, and the pixel kernels: render-noise uniforms, Box-Muller
+// and quantization, the selective-mean background stripe) funnels through the
 // function table returned by SimdOps().
 // Two tiers exist: a portable scalar tier and an AVX2 tier, selected once
 // at runtime via CPUID (or forced with the MIVID_SIMD environment
@@ -37,6 +37,9 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "common/rng.h"  // RngState
+#include "linalg/box_muller_constants.h"  // kBoxMullerMaxAbsError
 
 namespace mivid {
 
@@ -86,6 +89,15 @@ struct SimdOpsTable {
   /// out[j] = DetExp(-gamma * d2[j]) — the RBF kernel row.
   void (*rbf_from_d2_row)(double gamma, const double* d2, size_t count,
                           double* out);
+  /// Box-Muller uniforms from four xoshiro256** streams side by side:
+  /// lane j, from state lanes[j], draws `count` pairs as
+  /// Rng::BoxMullerUniforms does, u1 then u2, each (Next() >> 11) * 2^-53,
+  /// into u1[j * stride + i] and u2[j * stride + i], and lanes[j]
+  /// advances 2 * count steps. Never redraws: returns true when some u1
+  /// is 0, a draw BoxMullerUniforms would reject (u1 <= 1e-300) and
+  /// replace. Integer-exact on every tier.
+  bool (*noise_uniform_lanes)(RngState* lanes, size_t count, size_t stride,
+                              double* u1, double* u2);
   /// Polynomial Box-Muller: g_cos[j] and g_sin[j] approximate
   /// Rng::BoxMullerPair(u1[j], u2[j]) within kBoxMullerMaxAbsError, for
   /// u1 in [1e-300, 1] and u2 in [0, 1). No libm calls.
@@ -113,12 +125,6 @@ struct SimdOpsTable {
                                     double threshold, bool update,
                                     double* mean, uint8_t* mask);
 };
-
-/// Bound on |box_muller_row - Rng::BoxMullerPair| per value. The
-/// approximation's error is a few ulp of the log and of the angle times
-/// |mag| <= 38.6; the measured max, libm's own rounding included, is
-/// 2.3e-14, so the bound keeps a 40x headroom.
-constexpr double kBoxMullerMaxAbsError = 1e-12;
 
 /// The kernel table of the active tier.
 const SimdOpsTable& SimdOps();

@@ -265,6 +265,108 @@ void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   for (; j < count; ++j) out[j] = DetExp(ng * d2[j]);
 }
 
+/// Four xoshiro256** states, one per 64-bit lane: word k of lane j is
+/// element j of s[k].
+struct Xoshiro4 {
+  __m256i s[4];
+};
+
+inline __m256i Rotl4(__m256i x, int k) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+/// One Next() per lane; the multiplies by 5 and 9 are shift-adds.
+inline __m256i Next4(Xoshiro4* x) {
+  __m256i* s = x->s;
+  const __m256i times5 = _mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2));
+  const __m256i rot = Rotl4(times5, 7);
+  const __m256i result = _mm256_add_epi64(rot, _mm256_slli_epi64(rot, 3));
+  const __m256i t = _mm256_slli_epi64(s[1], 17);
+  s[2] = _mm256_xor_si256(s[2], s[0]);
+  s[3] = _mm256_xor_si256(s[3], s[1]);
+  s[1] = _mm256_xor_si256(s[1], s[2]);
+  s[0] = _mm256_xor_si256(s[0], s[3]);
+  s[2] = _mm256_xor_si256(s[2], t);
+  s[3] = Rotl4(s[3], 45);
+  return result;
+}
+
+/// (x >> 11) * 2^-53 exactly, without a 64-bit integer conversion: the
+/// top 52 bits as the mantissa of a double in [1, 2), minus 1, plus 2^-53
+/// when bit 11 is set. Every value k 2^-53 with k < 2^53 is a double, so
+/// the subtraction and the addition are exact.
+inline __m256d ToUnit4(__m256i x) {
+  const __m256i bit11 = _mm256_set1_epi64x(int64_t{1} << 11);
+  const __m256d high = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(x, 12),
+          _mm256_set1_epi64x(static_cast<int64_t>(box_muller::kOneBits)))),
+      _mm256_set1_pd(1.0));
+  const __m256d low = _mm256_and_pd(
+      _mm256_castsi256_pd(
+          _mm256_cmpeq_epi64(_mm256_and_si256(x, bit11), bit11)),
+      _mm256_set1_pd(0x1p-53));
+  return _mm256_add_pd(high, low);
+}
+
+/// Transposes the 4x4 matrix whose rows are r[0..3]: on exit r[k][j] is
+/// the old r[j][k].
+inline void Transpose4(__m256d* r) {
+  const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(r[2], r[3]);
+  r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+bool NoiseUniformLanes(RngState* lanes, size_t count, size_t stride,
+                       double* u1, double* u2) {
+  // Element j of the vectors is generator j: word k of every generator is
+  // gathered into s[k], and scattered back at the end.
+  Xoshiro4 x;
+  for (int k = 0; k < 4; ++k) {
+    x.s[k] = _mm256_set_epi64x(static_cast<int64_t>(lanes[3][k]),
+                               static_cast<int64_t>(lanes[2][k]),
+                               static_cast<int64_t>(lanes[1][k]),
+                               static_cast<int64_t>(lanes[0][k]));
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d rejected = zero;
+  size_t i = 0;
+  // Four pairs per iteration: draw them for every generator, then
+  // transpose so each generator's four u1 (and u2) are stored together.
+  for (; i + 4 <= count; i += 4) {
+    __m256d a[4], b[4];
+    for (int p = 0; p < 4; ++p) {
+      a[p] = ToUnit4(Next4(&x));
+      b[p] = ToUnit4(Next4(&x));
+      rejected = _mm256_or_pd(rejected, _mm256_cmp_pd(a[p], zero, _CMP_EQ_OQ));
+    }
+    Transpose4(a);
+    Transpose4(b);
+    for (int j = 0; j < 4; ++j) {
+      _mm256_storeu_pd(u1 + j * stride + i, a[j]);
+      _mm256_storeu_pd(u2 + j * stride + i, b[j]);
+    }
+  }
+  alignas(32) uint64_t words[4][4];
+  for (int k = 0; k < 4; ++k) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words[k]), x.s[k]);
+  }
+  for (int j = 0; j < 4; ++j) {
+    for (int k = 0; k < 4; ++k) lanes[j][k] = words[k][j];
+  }
+  bool tail_rejected = false;
+  if (i < count) {
+    tail_rejected = simd_internal::kScalarOps.noise_uniform_lanes(
+        lanes, count - i, stride, u1 + i, u2 + i);
+  }
+  return _mm256_movemask_pd(rejected) != 0 || tail_rejected;
+}
+
 /// Horner evaluation of `poly` at `z`, as the scalar tier's loops.
 template <int kTerms>
 inline __m256d Horner4(const double (&poly)[kTerms], __m256d z) {
@@ -487,9 +589,10 @@ uint32_t SelectiveMeanStripe(const uint8_t* px, size_t count, double a,
 namespace simd_internal {
 
 const SimdOpsTable kAvx2Ops = {
-    ExpandedD2Row, DirectD2Row,  DotRow,
-    Axpy,          AxpyDiff,     RbfFromD2Row,
-    BoxMullerRow,  QuantizeNoisyPairs, SelectiveMeanStripe,
+    ExpandedD2Row,      DirectD2Row,  DotRow,
+    Axpy,               AxpyDiff,     RbfFromD2Row,
+    NoiseUniformLanes,  BoxMullerRow, QuantizeNoisyPairs,
+    SelectiveMeanStripe,
 };
 
 }  // namespace simd_internal

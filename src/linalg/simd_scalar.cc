@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/rng.h"
 #include "linalg/box_muller_constants.h"
 #include "linalg/det_exp_constants.h"
 #include "linalg/simd.h"
@@ -81,6 +82,24 @@ void AxpyDiff(double a, const double* p, const double* q, size_t count,
 void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   const double ng = -gamma;
   for (size_t j = 0; j < count; ++j) out[j] = DetExpImpl(ng * d2[j]);
+}
+
+bool NoiseUniformLanes(RngState* lanes, size_t count, size_t stride,
+                       double* u1, double* u2) {
+  // Four interleaved generators: their dependency chains overlap.
+  Rng rngs[4];
+  for (int j = 0; j < 4; ++j) rngs[j].set_state(lanes[j]);
+  bool rejected = false;
+  for (size_t i = 0; i < count; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      const double a = rngs[j].Uniform();
+      u1[j * stride + i] = a;
+      u2[j * stride + i] = rngs[j].Uniform();
+      rejected |= a == 0.0;
+    }
+  }
+  for (int j = 0; j < 4; ++j) lanes[j] = rngs[j].state();
+  return rejected;
 }
 
 void BoxMullerRow(const double* u1, const double* u2, size_t count,
@@ -173,9 +192,10 @@ double DetExp(double x) { return DetExpImpl(x); }
 namespace simd_internal {
 
 const SimdOpsTable kScalarOps = {
-    ExpandedD2Row, DirectD2Row,  DotRow,
-    Axpy,          AxpyDiff,     RbfFromD2Row,
-    BoxMullerRow,  QuantizeNoisyPairs, SelectiveMeanStripe,
+    ExpandedD2Row,      DirectD2Row,  DotRow,
+    Axpy,               AxpyDiff,     RbfFromD2Row,
+    NoiseUniformLanes,  BoxMullerRow, QuantizeNoisyPairs,
+    SelectiveMeanStripe,
 };
 
 }  // namespace simd_internal

@@ -5,6 +5,7 @@
 
 #include "linalg/simd.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "video/draw.h"
 
 namespace mivid {
@@ -14,6 +15,11 @@ namespace {
 /// Pixel pairs per noise block of Run (two stack buffers of uniforms and
 /// two of approximations: 8 KiB).
 constexpr size_t kNoiseBlockPairs = 256;
+
+/// Streams Run draws a frame's pairs from side by side; each lane's block
+/// is a quarter of the noise block.
+constexpr size_t kNoiseLanes = 4;
+constexpr size_t kLaneBlockPairs = kNoiseBlockPairs / kNoiseLanes;
 
 /// Byte of pixel `p` with Gaussian(0, stddev) noise `g` added, computed
 /// as the quantize_noisy_pairs kernel does (see SimdOpsTable). The byte
@@ -72,11 +78,27 @@ Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
   for (const auto& wall : layout.walls) {
     FillRect(&background_, wall, 150);  // bright tunnel wall cladding
   }
+  // The lanes split a frame's pixels / 2 pairs (rounded down) four ways.
+  const size_t lane_pairs = background_.size() / 2 / kNoiseLanes;
+  if (noisy() && lane_pairs > 0) {
+    MIVID_TRACE_SPAN("render/noise_jump");  // built once per process
+    lane_jump_ = &RngJump::Cached(2 * lane_pairs);
+  }
+}
+
+size_t Renderer::LanePairs(size_t draws) const {
+  const size_t lane_pairs = draws / 2 / kNoiseLanes;
+  return lane_jump_ != nullptr && lane_jump_->steps() == 2 * lane_pairs
+             ? lane_pairs
+             : 0;
 }
 
 Frame Renderer::Render(const std::vector<VehicleState>& vehicles) {
   Frame frame;
-  Run(Prepare(vehicles), &frame);
+  RenderJob job = Prepare(vehicles);
+  Rng end = Run(job, &frame);
+  Frame* const frames[] = {&frame};
+  Resync(std::span(&job, 1), std::span(&end, 1), frames, {});
   return frame;
 }
 
@@ -93,28 +115,85 @@ RenderJob Renderer::Prepare(const std::vector<VehicleState>& vehicles) {
   }
   ++frame_index_;
   job.noise = noise_rng_;
-  // Run draws one Gaussian per pixel; the next frame starts after them.
-  if (noisy()) noise_rng_.SkipGaussians(background_.size());
+  if (noisy()) AdvanceFrame(&noise_rng_);
   return job;
 }
 
-void Renderer::Run(const RenderJob& job, Frame* frame) const {
-  *frame = background_;
-  for (const auto& v : job.vehicles) {
-    const VehicleDims dims = DimsFor(v.type);
-    FillRotatedRect(frame, v.position, dims.length / 2, dims.width / 2,
-                    v.heading, v.shade);
+void Renderer::AdvanceFrame(Rng* stream) const {
+  // Run draws one Gaussian per pixel, in this order: a cached value, the
+  // four lanes (jumped, assuming no u1 draw is rejected), then the rest.
+  size_t left = background_.size();
+  if (left > 0 && stream->has_cached_gaussian()) {
+    stream->SkipGaussians(1);
+    --left;
   }
+  const size_t lane_pairs = LanePairs(left);
+  for (size_t j = 0; lane_pairs > 0 && j < kNoiseLanes; ++j) {
+    stream->Jump(*lane_jump_);
+  }
+  stream->SkipGaussians(left - 2 * kNoiseLanes * lane_pairs);
+}
+
+size_t Renderer::Resync(std::span<RenderJob> jobs, std::span<Rng> ends,
+                        std::span<Frame* const> frames,
+                        std::span<RenderJob> later) {
+  size_t resyncs = 0;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    // After a re-base every later frame is drawn again, in order.
+    if (resyncs > 0) ends[i] = Run(jobs[i], frames[i]);
+    const Rng& next = i + 1 < jobs.size() ? jobs[i + 1].noise
+                      : !later.empty()    ? later.front().noise
+                                          : noise_rng_;
+    if (ends[i] == next) continue;
+    ++resyncs;
+    Rng stream = ends[i];
+    for (RenderJob& job : jobs.subspan(i + 1)) {
+      job.noise = stream;
+      AdvanceFrame(&stream);
+    }
+    for (RenderJob& job : later) {
+      job.noise = stream;
+      AdvanceFrame(&stream);
+    }
+    noise_rng_ = stream;
+  }
+  MIVID_METRIC_COUNT("render/noise_resyncs", resyncs);
+  return resyncs;
+}
+
+Rng Renderer::Run(const RenderJob& job, Frame* frame) const {
+  auto draw_scene = [&] {
+    *frame = background_;
+    for (const auto& v : job.vehicles) {
+      const VehicleDims dims = DimsFor(v.type);
+      FillRotatedRect(frame, v.position, dims.length / 2, dims.width / 2,
+                      v.heading, v.shade);
+    }
+  };
+  draw_scene();
 
   if (!noisy()) {
-    if (job.illumination == 0.0) return;
+    if (job.illumination == 0.0) return job.noise;
     for (auto& p : frame->pixels()) {
       p = static_cast<uint8_t>(
           std::clamp(static_cast<double>(p) + job.illumination, 0.0, 255.0));
     }
-    return;
+    return job.noise;
   }
 
+  Rng noise = job.noise;
+  if (!AddNoise(job.illumination, /*lanes=*/true, &noise, frame)) {
+    // A lane would have redrawn a u1 and shifted every later draw: the
+    // frame again, from one serial stream.
+    draw_scene();
+    noise = job.noise;
+    AddNoise(job.illumination, /*lanes=*/false, &noise, frame);
+  }
+  return noise;
+}
+
+bool Renderer::AddNoise(double illumination, bool lanes, Rng* noise,
+                        Frame* frame) const {
   // Pixel i takes the stream's i-th Gaussian. Pairs of fresh draws come
   // from the polynomial Box-Muller row, whose values are within
   // kBoxMullerMaxAbsError of libm's. A noisy value then differs from the
@@ -123,31 +202,55 @@ void Renderer::Run(const RenderJob& job, Frame* frame) const {
   // of the add into a value near a boundary (<= 256, under 1e-13). Only
   // pairs within `margin` of a boundary need libm's exact values.
   const double sd = options_.noise_stddev;
-  const double illum = job.illumination;
   const double margin = sd * (kBoxMullerMaxAbsError + 1e-14) + 1e-13;
   const SimdOpsTable& ops = SimdOps();
-  Rng noise = job.noise;
   uint8_t* px = frame->pixels().data();
   size_t left = frame->pixels().size();
-  if (left > 0 && noise.has_cached_gaussian()) {
-    *px = NoisyPixel(*px, illum, sd, noise.Gaussian());
+  if (left > 0 && noise->has_cached_gaussian()) {
+    *px = NoisyPixel(*px, illumination, sd, noise->Gaussian());
     ++px;
     --left;
   }
   size_t exact_pairs = 0;
   double u1[kNoiseBlockPairs], u2[kNoiseBlockPairs];
   double g_cos[kNoiseBlockPairs], g_sin[kNoiseBlockPairs];
+  // Lane j starts 2 j lane_pairs draws into the frame (J^j s, J the lane
+  // jump) and draws pairs [j lane_pairs, (j + 1) lane_pairs). Without a
+  // rejected u1 these are exactly the serial stream's pairs, and the last
+  // lane ends where the serial stream would.
+  const size_t lane_pairs = lanes ? LanePairs(left) : 0;
+  if (lane_pairs > 0) {
+    RngState lanes[kNoiseLanes] = {noise->state()};
+    for (size_t j = 1; j < kNoiseLanes; ++j) {
+      lanes[j] = lanes[j - 1];
+      lane_jump_->Apply(&lanes[j]);
+    }
+    for (size_t begin = 0; begin < lane_pairs; begin += kLaneBlockPairs) {
+      const size_t n = std::min(lane_pairs - begin, kLaneBlockPairs);
+      if (ops.noise_uniform_lanes(lanes, n, n, u1, u2)) return false;
+      ops.box_muller_row(u1, u2, kNoiseLanes * n, g_cos, g_sin);
+      for (size_t j = 0; j < kNoiseLanes; ++j) {
+        exact_pairs += render_internal::QuantizeNoisyPairs(
+            u1 + j * n, u2 + j * n, g_cos + j * n, g_sin + j * n, n,
+            illumination, sd, margin, px + 2 * (j * lane_pairs + begin));
+      }
+    }
+    noise->set_state(lanes[kNoiseLanes - 1]);
+    px += 2 * kNoiseLanes * lane_pairs;
+    left -= 2 * kNoiseLanes * lane_pairs;
+  }
   while (left >= 2) {
     const size_t pairs = std::min(left / 2, kNoiseBlockPairs);
-    noise.BoxMullerUniforms(pairs, u1, u2);
+    noise->BoxMullerUniforms(pairs, u1, u2);
     ops.box_muller_row(u1, u2, pairs, g_cos, g_sin);
     exact_pairs += render_internal::QuantizeNoisyPairs(
-        u1, u2, g_cos, g_sin, pairs, illum, sd, margin, px);
+        u1, u2, g_cos, g_sin, pairs, illumination, sd, margin, px);
     px += 2 * pairs;
     left -= 2 * pairs;
   }
-  if (left == 1) *px = NoisyPixel(*px, illum, sd, noise.Gaussian());
+  if (left == 1) *px = NoisyPixel(*px, illumination, sd, noise->Gaussian());
   MIVID_METRIC_COUNT("render/noise_exact_pairs", exact_pairs);
+  return true;
 }
 
 }  // namespace mivid

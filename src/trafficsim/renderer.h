@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,7 +34,9 @@ struct RenderOptions {
 struct RenderJob {
   std::vector<VehicleState> vehicles;  ///< active vehicles, draw order
   double illumination = 0.0;           ///< global intensity offset
-  Rng noise;  ///< the noise stream positioned at this frame's first draw
+  /// The noise stream at this frame's first draw, as Prepare computed it
+  /// (Renderer::Resync corrects it after a rejected u1 draw).
+  Rng noise;
 };
 
 /// Renderer for a fixed layout.
@@ -42,6 +45,12 @@ struct RenderJob {
 /// the position of the shared noise stream, so rendering splits into a
 /// cheap sequential Prepare, which captures both and advances past the
 /// frame, and a pure Run that can draw many frames concurrently.
+///
+/// Prepare jumps the stream past a frame's draws instead of walking it
+/// (RngJump), which assumes no u1 draw of the frame is rejected
+/// (p = 2^-53 per draw). Run certifies that: it returns where the stream
+/// truly ends, and Resync re-bases every later job when that differs
+/// from the next job's start.
 class Renderer {
  public:
   Renderer(const RoadLayout& layout, RenderOptions options = {});
@@ -51,26 +60,55 @@ class Renderer {
 
   /// Renders vehicles over the background, then applies illumination
   /// drift and noise. The frame counter advances per call.
-  /// Equivalent to Run(Prepare(vehicles)).
+  /// Equivalent to Prepare, Run and Resync of one frame.
   Frame Render(const std::vector<VehicleState>& vehicles);
 
   /// Captures the next frame's inputs and advances the frame counter and
   /// the noise stream past it.
   RenderJob Prepare(const std::vector<VehicleState>& vehicles);
 
-  /// Draws the frame `job` describes into `*frame`, reusing its storage.
+  /// Draws the frame `job` describes into `*frame`, reusing its storage,
+  /// and returns the noise stream positioned after the frame's draws.
   /// Thread-safe: reads no mutable renderer state.
-  void Run(const RenderJob& job, Frame* frame) const;
+  Rng Run(const RenderJob& job, Frame* frame) const;
+
+  /// Certifies a run of consecutive jobs, the last ones prepared except
+  /// for `later`: frame i was Run into *frames[i] and returned ends[i].
+  /// Where ends[i] differs from the next job's start, re-bases every
+  /// later job (`later` and the renderer's own stream included) and
+  /// re-runs the later frames of `jobs` in order. Returns the number of
+  /// re-bases, 0 unless a u1 draw was rejected.
+  size_t Resync(std::span<RenderJob> jobs, std::span<Rng> ends,
+                std::span<Frame* const> frames, std::span<RenderJob> later);
 
  private:
   bool noisy() const {
     return options_.draw_noise && options_.noise_stddev > 0;
   }
 
+  /// Pairs per lane when Run draws `draws` Gaussians in lanes: a quarter
+  /// of the pairs if lane_jump_ spans exactly that many, else 0 (no lanes).
+  size_t LanePairs(size_t draws) const;
+
+  /// Moves `stream` past one frame's draws, as Run would without a
+  /// rejected u1 draw.
+  void AdvanceFrame(Rng* stream) const;
+
+  /// Adds the sensor noise of `*noise` to `frame`'s pixels, leaving
+  /// `*noise` after the frame. With `lanes`, draws the pairs in four
+  /// jumped lanes and returns false, with the frame and `*noise` half
+  /// done, if a lane drew a u1 Rng::BoxMullerUniforms would reject.
+  bool AddNoise(double illumination, bool lanes, Rng* noise,
+                Frame* frame) const;
+
   RenderOptions options_;
   Frame background_;
   Rng noise_rng_;
   int frame_index_ = 0;
+  /// One lane's draws, twice a quarter of the frame's pairs (null when
+  /// noise is off or a frame has under four pairs). Prepare jumps a frame
+  /// with four of them.
+  const RngJump* lane_jump_ = nullptr;
 };
 
 namespace render_internal {

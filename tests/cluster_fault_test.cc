@@ -553,8 +553,30 @@ TEST(CoordinatorFaultTest, MultiRankDegradesWhenACameraLosesAllReplicas) {
   // Two workers, no replication, and the survivor pinned at its session
   // cap so failover re-opens onto it are rejected — the deterministic
   // way to strand the dead worker's cameras.
-  FaultFleet fleet(2, /*replication=*/1, /*rpc_deadline_ms=*/2000,
-                   /*max_sessions=*/4);
+  //
+  // Placement hashes the kernel-assigned ports, so a fleet may put every
+  // camera on one worker and leave nothing to degrade. Such a fleet is
+  // replaced (the new one comes up before the old one goes, so its ports
+  // differ) until the ring splits the cameras; each try splits with
+  // probability ~1/3, so 40 failing tries mean placement is broken.
+  std::unique_ptr<FaultFleet> split;
+  std::vector<std::string> on_w0, on_w1;  // cameras living only there
+  for (int attempt = 0; attempt < 40 && (on_w0.empty() || on_w1.empty());
+       ++attempt) {
+    split = std::make_unique<FaultFleet>(2, /*replication=*/1,
+                                         /*rpc_deadline_ms=*/2000,
+                                         /*max_sessions=*/4);
+    on_w0.clear();
+    on_w1.clear();
+    for (const std::string& camera : Env().cameras) {
+      const std::vector<size_t> owner = split->OwnerIndices(camera, 1);
+      ASSERT_EQ(owner.size(), 1u);
+      (owner[0] == 0 ? on_w0 : on_w1).push_back(camera);
+    }
+  }
+  ASSERT_FALSE(on_w0.empty() || on_w1.empty())
+      << "40 fleets hashed every camera onto one worker";
+  FaultFleet& fleet = *split;
   std::string cameras_json = "[";
   for (size_t i = 0; i < Env().cameras.size(); ++i) {
     if (i > 0) cameras_json += ',';
@@ -564,18 +586,6 @@ TEST(CoordinatorFaultTest, MultiRankDegradesWhenACameraLosesAllReplicas) {
   const std::string open_response = fleet.Call(
       R"({"cmd":"open","session":"deg1","cameras":)" + cameras_json + "}");
   ASSERT_TRUE(IsOk(Parse(open_response))) << open_response;
-
-  // Which cameras live only on worker 0?
-  std::vector<std::string> on_w0, on_w1;
-  for (const std::string& camera : Env().cameras) {
-    const std::vector<size_t> owner = fleet.OwnerIndices(camera, 1);
-    ASSERT_EQ(owner.size(), 1u);
-    (owner[0] == 0 ? on_w0 : on_w1).push_back(camera);
-  }
-  if (on_w0.empty() || on_w1.empty()) {
-    GTEST_SKIP() << "ephemeral ports hashed every camera onto one "
-                    "worker; nothing to degrade";
-  }
 
   // Fill the survivor (w1) to its cap so it cannot adopt w0's cameras.
   for (size_t i = on_w1.size(); i < 4; ++i) {

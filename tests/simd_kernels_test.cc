@@ -306,6 +306,72 @@ TEST(BoxMullerRowTest, TiersAgreeBitForBitAtEveryLengthAndOffset) {
   });
 }
 
+/// The states of four generators, one lane each.
+std::vector<RngState> LaneStates(const std::vector<Rng>& lanes) {
+  std::vector<RngState> states;
+  for (const Rng& lane : lanes) states.push_back(lane.state());
+  return states;
+}
+
+TEST(NoiseUniformLanesTest, MatchesBoxMullerUniformsOnEveryTier) {
+  // Pairs per lane: every short count (the AVX2 tier's 4-pair steps and
+  // scalar tail), a count not divisible by 4, and a whole 320x240
+  // frame's 38,400 pairs.
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 37; ++n) counts.push_back(n);
+  counts.push_back(9601);
+  counts.push_back(38400);
+  TierGuard guard;
+  for (const size_t count : counts) {
+    const size_t stride = count + 3;  // rows need not be contiguous
+    const std::vector<Rng> lanes = {Rng(101), Rng(202), Rng(303), Rng(404)};
+    std::vector<Rng> ends = lanes;
+    std::vector<double> want_u1(4 * stride, -1.0), want_u2(4 * stride, -1.0);
+    for (size_t j = 0; j < 4; ++j) {
+      ends[j].BoxMullerUniforms(count, want_u1.data() + j * stride,
+                                want_u2.data() + j * stride);
+    }
+    for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+      if (tier == SimdTier::kAvx2 && !Avx2Available()) continue;
+      SetSimdTier(static_cast<int>(tier));
+      std::vector<RngState> state = LaneStates(lanes);
+      std::vector<double> u1(4 * stride, -1.0), u2(4 * stride, -1.0);
+      EXPECT_FALSE(SimdOps().noise_uniform_lanes(state.data(), count, stride,
+                                                 u1.data(), u2.data()));
+      EXPECT_EQ(u1, want_u1) << SimdTierName(tier) << " count " << count;
+      EXPECT_EQ(u2, want_u2) << SimdTierName(tier) << " count " << count;
+      EXPECT_EQ(state, LaneStates(ends))
+          << SimdTierName(tier) << " count " << count;
+    }
+  }
+}
+
+TEST(NoiseUniformLanesTest, FlagsAZeroU1InEveryLane) {
+  // xoshiro256** outputs 0 from any state with s[1] == 0, so that lane's
+  // first u1 is 0: a draw Rng::BoxMullerUniforms would reject. Counts 1
+  // and 6 reach the AVX2 tier's scalar tail and its 4-pair steps.
+  TierGuard guard;
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+    if (tier == SimdTier::kAvx2 && !Avx2Available()) continue;
+    SetSimdTier(static_cast<int>(tier));
+    for (const size_t count : {size_t{1}, size_t{6}}) {
+      for (size_t zero_lane = 0; zero_lane < 4; ++zero_lane) {
+        std::vector<Rng> lanes = {Rng(1), Rng(2), Rng(3), Rng(4)};
+        RngState rejecting = lanes[zero_lane].state();
+        rejecting[1] = 0;
+        lanes[zero_lane].set_state(rejecting);
+        std::vector<RngState> state = LaneStates(lanes);
+        std::vector<double> u1(4 * count), u2(4 * count);
+        EXPECT_TRUE(SimdOps().noise_uniform_lanes(state.data(), count, count,
+                                                  u1.data(), u2.data()))
+            << SimdTierName(tier) << " count " << count << " lane "
+            << zero_lane;
+        EXPECT_EQ(u1[zero_lane * count], 0.0);
+      }
+    }
+  }
+}
+
 TEST(PackedMatrixTest, LayoutNormsAndRoundTrip) {
   const size_t n = 11, dim = 4;
   const auto points = RandomPoints(n, dim, 77);

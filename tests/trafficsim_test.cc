@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -407,6 +408,50 @@ TEST(RngSkipGaussiansTest, MatchesDrawingEveryValue) {
   }
 }
 
+TEST(RngJumpTest, JumpEqualsSteppingAndJumpsCompose) {
+  for (const uint64_t steps : {0u, 1u, 2u, 63u, 64u, 19200u, 76800u}) {
+    const RngJump jump(steps);
+    EXPECT_EQ(jump.steps(), steps);
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      Rng jumped(seed * 7919);
+      Rng stepped = jumped;
+      jumped.Jump(jump);
+      for (uint64_t i = 0; i < steps; ++i) (void)stepped.Next();
+      EXPECT_EQ(jumped.state(), stepped.state())
+          << "steps " << steps << " seed " << seed;
+      EXPECT_EQ(jumped.Next(), stepped.Next());
+    }
+  }
+  // Two jumps in a row, and their product, equal one jump by the sum.
+  const RngJump a(19200), b(63), sum(19263);
+  const RngJump ab = a.Then(b);
+  EXPECT_EQ(ab.steps(), 19263u);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng twice(seed), once(seed), product(seed);
+    twice.Jump(a);
+    twice.Jump(b);
+    once.Jump(sum);
+    product.Jump(ab);
+    EXPECT_EQ(twice.state(), once.state()) << "seed " << seed;
+    EXPECT_EQ(product.state(), once.state()) << "seed " << seed;
+  }
+  // A jump moves the raw stream and leaves a cached Gaussian cached.
+  Rng cached(5);
+  (void)cached.Gaussian();  // caches the pair's sine
+  Rng stepped = cached;
+  cached.Jump(a);
+  for (uint64_t i = 0; i < a.steps(); ++i) (void)stepped.Next();
+  EXPECT_TRUE(cached.has_cached_gaussian());
+  EXPECT_TRUE(cached == stepped);
+}
+
+TEST(RngJumpTest, CachedJumpIsBuiltOncePerCount) {
+  const RngJump& jump = RngJump::Cached(76800);
+  EXPECT_EQ(&RngJump::Cached(76800), &jump);
+  EXPECT_EQ(jump.steps(), 76800u);
+  EXPECT_NE(&RngJump::Cached(19200), &jump);
+}
+
 /// A tunnel layout cropped to an odd pixel count, so each frame draws an
 /// odd number of Gaussians and the cached second value carries into the
 /// next frame.
@@ -414,6 +459,15 @@ RoadLayout OddLayout() {
   RoadLayout layout = MakeTunnelLayout();
   layout.width = 161;
   layout.height = 121;
+  return layout;
+}
+
+/// A tunnel layout cropped to an even pixel count whose pairs split into
+/// four lanes (400 pairs each), so Prepare jumps and Run draws in lanes.
+RoadLayout EvenLayout() {
+  RoadLayout layout = MakeTunnelLayout();
+  layout.width = 64;
+  layout.height = 50;
   return layout;
 }
 
@@ -514,50 +568,206 @@ std::vector<SimdTier> AvailableTiers() {
   return tiers;
 }
 
+/// The renderer's definition of frames 0..count-1 (vehicles of frame f:
+/// MovingVehicles(vehicle_step * f)): the noise-free drawing, then the
+/// illumination and, with noise on, one Gaussian() call per pixel from the
+/// single stream `*stream`.
+std::vector<Frame> PerPixelReference(const RoadLayout& layout,
+                                     const RenderOptions& options, int count,
+                                     int vehicle_step, Rng* stream) {
+  RenderOptions clean;
+  clean.draw_noise = false;
+  Renderer drawer(layout, clean);
+  const bool noise = options.draw_noise && options.noise_stddev > 0;
+  std::vector<Frame> expected;
+  for (int f = 0; f < count; ++f) {
+    Frame frame = drawer.Render(MovingVehicles(vehicle_step * f));
+    const double illumination =
+        options.illumination_amplitude *
+        std::sin(2.0 * M_PI * f / options.illumination_period);
+    for (auto& p : frame.pixels()) {
+      double v = p + illumination;
+      if (noise) v += stream->Gaussian(0, options.noise_stddev);
+      p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+    }
+    expected.push_back(std::move(frame));
+  }
+  return expected;
+}
+
 TEST(RendererNoiseTest, RunMatchesPerPixelGaussianReference) {
   // Odd pixel count: frames 1 and 3 start on the cached second value of
-  // the previous frame's last pair and end on an unpaired draw.
-  const RoadLayout layout = OddLayout();
+  // the previous frame's last pair and end on an unpaired draw. Both
+  // counts: every frame after the first starts where Prepare's jump put
+  // it, and Run draws its pairs in four lanes. Frames go through Prepare
+  // and Run only, so no Resync can repair a wrong jump.
   constexpr int kFrames = 4;
   TierGuard guard;
-  for (const double stddev : {0.5, 6.0, 40.0}) {
-    for (const bool noise : {true, false}) {
-      RenderOptions options;
-      options.noise_stddev = stddev;
-      options.draw_noise = noise;
-      options.illumination_amplitude = 7.5;
-      options.illumination_period = 5;
-      // Reference: the noise-free drawing, then illumination and one
-      // Gaussian() call per pixel from a single stream.
-      RenderOptions clean;
-      clean.draw_noise = false;
-      Renderer drawer(layout, clean);
-      Rng stream(options.noise_seed);
-      std::vector<Frame> expected;
-      for (int f = 0; f < kFrames; ++f) {
-        Frame frame = drawer.Render(MovingVehicles(3 * f));
-        const double illumination =
-            options.illumination_amplitude *
-            std::sin(2.0 * M_PI * f / options.illumination_period);
-        for (auto& p : frame.pixels()) {
-          double v = p + illumination;
-          if (noise) v += stream.Gaussian(0, stddev);
-          p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
-        }
-        expected.push_back(std::move(frame));
-      }
-      for (const SimdTier tier : AvailableTiers()) {
-        SetSimdTier(static_cast<int>(tier));
-        Renderer renderer(layout, options);
-        for (int f = 0; f < kFrames; ++f) {
-          EXPECT_EQ(renderer.Render(MovingVehicles(3 * f)).pixels(),
-                    expected[f].pixels())
-              << "stddev " << stddev << " noise " << noise << " tier "
-              << SimdTierName(tier) << " frame " << f;
+  for (const RoadLayout& layout : {OddLayout(), EvenLayout()}) {
+    for (const double stddev : {0.5, 6.0, 40.0}) {
+      for (const bool noise : {true, false}) {
+        RenderOptions options;
+        options.noise_stddev = stddev;
+        options.draw_noise = noise;
+        options.illumination_amplitude = 7.5;
+        options.illumination_period = 5;
+        Rng stream(options.noise_seed);
+        const std::vector<Frame> expected =
+            PerPixelReference(layout, options, kFrames + 1, 3, &stream);
+        for (const SimdTier tier : AvailableTiers()) {
+          SetSimdTier(static_cast<int>(tier));
+          Renderer renderer(layout, options);
+          std::vector<RenderJob> jobs;
+          for (int f = 0; f < kFrames; ++f) {
+            jobs.push_back(renderer.Prepare(MovingVehicles(3 * f)));
+          }
+          for (int f = 0; f < kFrames; ++f) {
+            Frame frame;
+            const Rng end = renderer.Run(jobs[f], &frame);
+            EXPECT_EQ(frame.pixels(), expected[f].pixels())
+                << "width " << layout.width << " stddev " << stddev
+                << " noise " << noise << " tier " << SimdTierName(tier)
+                << " frame " << f;
+            if (f + 1 < kFrames) {
+              EXPECT_TRUE(end == jobs[f + 1].noise) << "frame " << f;
+            }
+          }
+          // Render continues the stream after the prepared frames.
+          EXPECT_EQ(renderer.Render(MovingVehicles(3 * kFrames)).pixels(),
+                    expected[kFrames].pixels());
         }
       }
     }
   }
+}
+
+/// The state one xoshiro256** step before `s`: Next() from the result
+/// returns to `s`.
+RngState StepBack(const RngState& s) {
+  const uint64_t x = (s[3] >> 45) | (s[3] << 19);  // s3 ^ s1 before the step
+  const uint64_t s0 = s[0] ^ x;
+  const uint64_t y = s[1] ^ s[2];  // s1 ^ (s1 << 17)
+  const uint64_t s1 = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
+  const uint64_t s2 = s[2] ^ s0 ^ (s1 << 17);
+  return {s0, s1, s2, x ^ s1};
+}
+
+/// A stream whose draw number `draw` (0-based) is 0: xoshiro256** outputs
+/// 0 from any state with s[1] == 0.
+Rng StreamWithZeroDraw(size_t draw) {
+  RngState state = {0x0123456789abcdefULL, 0, 0xfedcba9876543210ULL,
+                    0x0f1e2d3c4b5a6978ULL};
+  for (size_t i = 0; i < draw; ++i) state = StepBack(state);
+  Rng stream;
+  stream.set_state(state);
+  return stream;
+}
+
+TEST(RendererNoiseTest, RejectedLaneDrawFallsBackToTheSerialStream) {
+  // 1600 pairs: four lanes of 400. A zero u1 (draw 2p of pair p) is
+  // rejected and redrawn, shifting every later draw of the frame.
+  const RoadLayout layout = EvenLayout();
+  constexpr size_t kLanePairs = 400;
+  RenderOptions options;
+  options.illumination_amplitude = 7.5;
+  options.illumination_period = 5;
+  const Renderer renderer(layout, options);
+  TierGuard guard;
+  for (const size_t zero_draw :
+       {size_t{0}, 2 * (2 * kLanePairs + 37), 2 * (4 * kLanePairs - 1),
+        2 * (kLanePairs + 5) + 1}) {
+    const Rng start = StreamWithZeroDraw(zero_draw);
+    Rng probe = start;
+    for (size_t i = 0; i < zero_draw; ++i) (void)probe.Next();
+    ASSERT_EQ(probe.Next(), 0u);
+    Rng stream = start;
+    const std::vector<Frame> expected =
+        PerPixelReference(layout, options, 1, 1, &stream);
+    for (const SimdTier tier : AvailableTiers()) {
+      SetSimdTier(static_cast<int>(tier));
+      RenderJob job;
+      job.vehicles = MovingVehicles(0);
+      job.noise = start;
+      Frame frame;
+      const Rng end = renderer.Run(job, &frame);
+      EXPECT_EQ(frame.pixels(), expected[0].pixels())
+          << "zero draw " << zero_draw << " tier " << SimdTierName(tier);
+      EXPECT_TRUE(end == stream)
+          << "zero draw " << zero_draw << " tier " << SimdTierName(tier);
+    }
+  }
+}
+
+/// A seed whose xoshiro state has s[1] == 0 (SplitMix64 maps
+/// seed + 2 * 0x9e3779b97f4a7c15 to s[1], and only 0 to 0): the stream's
+/// first draw, the first frame's first u1, is 0 and rejected.
+constexpr uint64_t kRejectingSeed = 0 - 2 * 0x9e3779b97f4a7c15ULL;
+
+TEST(RendererNoiseTest, ResyncRebasesEveryLaterFrameAfterARejection) {
+  const RoadLayout layout = EvenLayout();
+  RenderOptions options;
+  options.noise_seed = kRejectingSeed;
+  options.illumination_amplitude = 7.5;
+  options.illumination_period = 5;
+  ASSERT_EQ(Rng(kRejectingSeed).state()[1], 0u);
+  constexpr int kBatch = 6;
+  constexpr int kLater = 5;
+  constexpr int kFrames = kBatch + kLater;
+  Rng stream(options.noise_seed);
+  const std::vector<Frame> expected =
+      PerPixelReference(layout, options, kFrames + 1, 1, &stream);
+
+  // Render: frame 0 falls back, and every later frame starts after it.
+  Renderer serial(layout, options);
+  for (int f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(serial.Render(MovingVehicles(f)).pixels(), expected[f].pixels())
+        << "serial " << f;
+  }
+
+  // A batch as VisionTracks runs it: the next batch is prepared while this
+  // one renders, so Resync must re-base both.
+  for (const int threads : {1, 2, 4}) {
+    SetGlobalThreadCount(threads);
+    Renderer renderer(layout, options);
+    std::vector<RenderJob> jobs, later;
+    for (int f = 0; f < kBatch; ++f) {
+      jobs.push_back(renderer.Prepare(MovingVehicles(f)));
+    }
+    std::vector<Frame> frames(kFrames);
+    std::vector<Frame*> out;
+    for (Frame& frame : frames) out.push_back(&frame);
+    std::vector<Rng> ends(kFrames);
+    ParallelFor(kBatch + 1, 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        if (i == 0) {
+          for (int f = kBatch; f < kFrames; ++f) {
+            later.push_back(renderer.Prepare(MovingVehicles(f)));
+          }
+        } else {
+          ends[i - 1] = renderer.Run(jobs[i - 1], out[i - 1]);
+        }
+      }
+    });
+    EXPECT_EQ(renderer.Resync(jobs, std::span(ends).first(kBatch),
+                              std::span(out).first(kBatch), later),
+              1u);
+    ParallelFor(kLater, 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        ends[kBatch + i] = renderer.Run(later[i], out[kBatch + i]);
+      }
+    });
+    EXPECT_EQ(renderer.Resync(later, std::span(ends).subspan(kBatch),
+                              std::span(out).subspan(kBatch), {}),
+              0u);
+    for (int f = 0; f < kFrames; ++f) {
+      EXPECT_EQ(frames[f].pixels(), expected[f].pixels())
+          << "threads " << threads << " frame " << f;
+    }
+    EXPECT_EQ(renderer.Render(MovingVehicles(kFrames)).pixels(),
+              expected[kFrames].pixels())
+        << "threads " << threads;
+  }
+  SetGlobalThreadCount(0);
 }
 
 TEST(RendererNoiseTest, QuantizeFallsBackToExactPairsWithinTheMargin) {

@@ -13,6 +13,12 @@ SMO iterations, support vectors) are not noisy: any change in them, or a
 counter present in only one report, fails the diff whatever the
 threshold.
 
+A row micro_perf skipped (error_occurred with a "skipped: ..." message,
+e.g. a *Threads row asking for more threads than nproc) measured nothing:
+it is listed as skipped and neither its time nor its counters are
+compared, whichever report skipped it. Other errored rows are compared as
+before, so a benchmark that fails still loses its exact counters.
+
 Exit status: 0 when no benchmark regressed more than the threshold and
 no exact counter changed, 1 otherwise, 2 on malformed input. Aggregate
 entries (mean/median/stddev rows emitted with --benchmark_repetitions)
@@ -30,9 +36,17 @@ import sys
 EXACT_COUNTERS = re.compile(r"^(acc20_round\d+|smo_iterations|support_vectors)$")
 
 
+def skip_message(entry):
+    """The message of a recorded skip, or None for a measured row."""
+    message = entry.get("error_message", "")
+    if entry.get("error_occurred") and message.startswith("skipped"):
+        return message
+    return None
+
+
 def load_benchmarks(path):
-    """Returns {name: (real_time, time_unit, exact_counters)} for raw
-    benchmark entries."""
+    """Returns ({name: (real_time, time_unit, exact_counters)} for raw
+    benchmark entries, {name: message} for skipped ones)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             report = json.load(f)
@@ -40,11 +54,15 @@ def load_benchmarks(path):
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(2)
     out = {}
+    skipped = {}
     for entry in report.get("benchmarks", []):
         if entry.get("run_type", "iteration") != "iteration":
             continue  # skip mean/median/stddev aggregates
         name = entry.get("name")
         time = entry.get("real_time")
+        if name is not None and skip_message(entry) is not None:
+            skipped[name] = skip_message(entry)
+            continue
         if name is None or time is None:
             continue
         counters = {key: value for key, value in entry.items()
@@ -53,7 +71,7 @@ def load_benchmarks(path):
     if not out:
         print(f"error: no benchmark entries in {path}", file=sys.stderr)
         sys.exit(2)
-    return out
+    return out, skipped
 
 
 def build_context(path):
@@ -75,8 +93,15 @@ def main():
              "(default 0.10 = 10%%)")
     args = parser.parse_args()
 
-    base = load_benchmarks(args.baseline)
-    cand = load_benchmarks(args.candidate)
+    base, base_skipped = load_benchmarks(args.baseline)
+    cand, cand_skipped = load_benchmarks(args.candidate)
+    # A row skipped in either report is compared in neither.
+    skipped = {name: f"skipped in baseline ({message})"
+               for name, message in base_skipped.items()}
+    skipped.update({name: f"skipped in candidate ({message})"
+                    for name, message in cand_skipped.items()})
+    base = {n: v for n, v in base.items() if n not in skipped}
+    cand = {n: v for n, v in cand.items() if n not in skipped}
 
     for path in (args.baseline, args.candidate):
         build = build_context(path).get("mivid_build")
@@ -121,6 +146,8 @@ def main():
         print(f"{name:<{width}}  (removed)")
     for name in only_cand:
         print(f"{name:<{width}}  (new)")
+    for name in sorted(skipped):
+        print(f"{name:<{width}}  ({skipped[name]})")
 
     if counter_changes:
         print(f"\n{len(counter_changes)} exact counter(s) changed:",

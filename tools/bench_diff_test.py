@@ -6,6 +6,7 @@
 Wall-clock changes inside the threshold must pass (exit 0); any change in
 an exact counter (accuracy per round, SMO iterations, support vectors),
 or one missing from a report, must fail (exit 1) even when no time moved.
+A row one report records as skipped is not compared at all.
 """
 
 import json
@@ -18,7 +19,9 @@ BENCH_DIFF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "bench_diff.py")
 
 
-def report(end_to_end_ms, gram_us, **counters):
+def report(end_to_end_ms, gram_us, threads8=None, **counters):
+    """A two-row report; `threads8` adds an 8-thread row carrying exact
+    counters: "ran", or an error message it failed with."""
     pipeline = {"name": "BM_EndToEndPipeline", "run_type": "iteration",
                 "real_time": end_to_end_ms, "time_unit": "ms",
                 "acc20_round0": 0.6, "acc20_round1": 0.75,
@@ -27,7 +30,17 @@ def report(end_to_end_ms, gram_us, **counters):
     pipeline = {k: v for k, v in pipeline.items() if v is not None}
     gram = {"name": "BM_GramMatrix/64", "run_type": "iteration",
             "real_time": gram_us, "time_unit": "us"}
-    return {"context": {}, "benchmarks": [pipeline, gram]}
+    rows = [pipeline, gram]
+    if threads8 is not None:
+        row = {"name": "BM_EndToEndPipelineThreads/threads:8",
+               "run_type": "iteration", "time_unit": "ms"}
+        if threads8 == "ran":
+            row.update({"real_time": end_to_end_ms, "smo_iterations": 20.0})
+        else:
+            row.update({"real_time": 0.0, "error_occurred": True,
+                        "error_message": threads8})
+        rows.append(row)
+    return {"context": {}, "benchmarks": rows}
 
 
 def exit_code(base, cand, *flags):
@@ -45,6 +58,8 @@ def exit_code(base, cand, *flags):
 
 def main():
     base = report(100.0, 50.0)
+    base8 = report(100.0, 50.0, threads8="ran")
+    skip8 = "skipped: 8 threads > nproc 4"
     cases = [
         ("identical reports", report(100.0, 50.0), [], 0),
         ("times within the threshold", report(105.0, 20.0), [], 0),
@@ -62,9 +77,20 @@ def main():
         ("counter new in the candidate",
          report(100.0, 50.0, acc20_round2=0.75), [], 1),
     ]
+    # (label, baseline, candidate, flags, expected exit)
+    cases = [(label, base, cand, flags, want)
+             for label, cand, flags, want in cases]
+    cases += [
+        ("row with counters skipped in the candidate", base8,
+         report(100.0, 50.0, threads8=skip8), [], 0),
+        ("row with counters skipped in the baseline",
+         report(100.0, 50.0, threads8=skip8), base8, [], 0),
+        ("row with counters failing in the candidate", base8,
+         report(100.0, 50.0, threads8="Learn failed"), [], 1),
+    ]
     failures = 0
-    for label, cand, flags, want in cases:
-        got = exit_code(base, cand, *flags)
+    for label, base_report, cand, flags, want in cases:
+        got = exit_code(base_report, cand, *flags)
         if got != want:
             print(f"FAIL {label}: exit {got}, want {want}")
             failures += 1
